@@ -371,20 +371,19 @@ def assemble_state_space(
         bad = [net.gen_ids[i] for i in np.nonzero(D <= 0)[0]]
         raise ParameterError(f"total damping must be positive, violated at buses {bad}")
 
-    keep = [i for i in range(n) if i != ref_bus]
+    keep = np.delete(np.arange(n), ref_bus)
     na = n - 1
     dim = 2 * n - 1
+    theta = np.arange(na)
+    omega = na + np.arange(n)
 
     A = np.zeros((dim, dim))
-    for row, i in enumerate(keep):
-        A[row, na + i] = 1.0
-        A[row, na + ref_bus] = -1.0
+    A[theta, na + keep] = 1.0
+    A[theta, na + ref_bus] = -1.0
     # Row sums of L are zero, so L @ delta depends only on relative angles
     # and the reference column drops out.
-    for i in range(n):
-        w = na + i
-        A[w, :na] = -net.L[i, keep] / M[i]
-        A[w, w] -= D[i] / M[i]
+    A[na:, :na] = -net.L[:, keep] / M[:, None]
+    A[omega, omega] = -D / M
 
     B = np.zeros((dim, n))
     B[na:, :] = np.diag(1.0 / M)

@@ -65,9 +65,7 @@ class ObjectiveEval:
 
 def gramians(ss: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     """Controllability and observability gramians of ``(A, B, C)``."""
-    P = solve_lyapunov(ss.A, ss.B @ ss.B.T)
-    Q = solve_lyapunov(ss.A.T, ss.C.T @ ss.C)
-    return P, Q
+    return solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
 
 
 def h2_norm_sq(ss: StateSpace) -> float:
@@ -91,24 +89,18 @@ def grad_h2(
     """
     if P is None or Q is None:
         P, Q = gramians(ss)
-    n = ss.n_machines
-    na = n - 1
+    na = ss.n_machines - 1
     M = params.m_total
-    PQ = P @ Q
-    QB = Q @ ss.B
-
-    grad_m = np.empty(n)
-    grad_d = np.empty(n)
-    for i in range(n):
-        w = na + i
-        a_term = -2.0 / M[i] * float(ss.A[w, :] @ PQ[:, w])
-        if ss.eta is None:
-            b_term = -2.0 * Q[w, w] / M[i] ** 3
-        else:
-            b_term = -2.0 * ss.eta[i] / M[i] ** 2 * float(QB[w, 0])
-        c_term = P[w, w]
-        grad_m[i] = a_term + b_term + c_term
-        grad_d[i] = -2.0 / M[i] * PQ[w, w]
+    # Column i of PQw is (P Q)[:, w_i] for the omega state w_i = na + i.
+    PQw = P @ Q[:, na:]
+    a_term = -2.0 / M * np.einsum("ij,ji->i", ss.A[na:, :], PQw)
+    if ss.eta is None:
+        b_term = -2.0 * np.diagonal(Q[na:, na:]) / M**3
+    else:
+        b_term = -2.0 * ss.eta / M**2 * (Q[na:, :] @ ss.B[:, 0])
+    c_term = np.diagonal(P[na:, na:])
+    grad_m = a_term + b_term + c_term
+    grad_d = -2.0 / M * np.diagonal(PQw[na:, :])
     return grad_m, grad_d
 
 

@@ -1,14 +1,34 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import linalg
 
+import vsmtune as vt
 from vsmtune import StabilityError, is_hurwitz, solve_lyapunov
 
-from conftest import random_stable_system
+from conftest import random_connected_spec, random_stable_system
 
 
 def residual(A, X, W):
     return np.linalg.norm(A @ X + X @ A.T + W, "fro")
+
+
+def rel_diff(X, ref):
+    return np.linalg.norm(X - ref, "fro") / np.linalg.norm(ref, "fro")
+
+
+def grid_system(seed, n_buses=50):
+    """Grounded realization of a random connected grid with n_buses generators."""
+    net = vt.reduce_network(random_connected_spec(np.random.default_rng(seed), n_buses))
+    n = net.n
+    rng = np.random.default_rng(seed + 1)
+    params = vt.DeviceParams(
+        m_hat=0.5 + 2.0 * rng.random(n), d_hat=0.2 + rng.random(n),
+        m=rng.random(n), d=rng.random(n),
+        m_lb=np.zeros(n), m_ub=np.ones(n), d_lb=np.zeros(n), d_ub=np.ones(n),
+    )
+    ss = vt.assemble_state_space(net, params, ref_bus=0)
+    return ss.A, ss.B, ss.C
 
 
 class TestIsHurwitz:
@@ -123,3 +143,72 @@ class TestSolveLyapunov:
         X = solve_lyapunov(A, W)
         assert residual(A, X, W) <= 1e-8 * max(1.0, np.linalg.norm(W, "fro"))
         assert np.allclose(X, X.T, atol=1e-12 * max(1.0, np.abs(X).max()))
+
+
+class TestSolveLyapunovPair:
+    """One factorization solves both gramian equations."""
+
+    @pytest.fixture(
+        params=[("random", 3), ("random", 17), ("random", 40), ("grid", 50)],
+        ids=lambda p: f"{p[0]}-{p[1]}",
+    )
+    def system(self, request):
+        kind, size = request.param
+        if kind == "grid":
+            return grid_system(seed=5, n_buses=size)
+        return random_stable_system(np.random.default_rng(size), size)
+
+    def test_matches_single_solves_and_scipy(self, system):
+        A, B, C = system
+        W, W_dual = B @ B.T, C.T @ C
+        X, Y = solve_lyapunov(A, W, W_dual)
+        assert rel_diff(X, solve_lyapunov(A, W)) <= 1e-12
+        assert rel_diff(Y, solve_lyapunov(A.T, W_dual)) <= 1e-12
+        assert rel_diff(X, linalg.solve_continuous_lyapunov(A, -W)) <= 1e-12
+        assert rel_diff(Y, linalg.solve_continuous_lyapunov(A.T, -W_dual)) <= 1e-12
+
+    def test_residuals_within_documented_bound(self, system):
+        A, B, C = system
+        W, W_dual = B @ B.T, C.T @ C
+        X, Y = solve_lyapunov(A, W, W_dual)
+        assert residual(A, X, W) <= 1e-8 * max(1.0, np.linalg.norm(W, "fro"))
+        assert residual(A.T, Y, W_dual) <= 1e-8 * max(1.0, np.linalg.norm(W_dual, "fro"))
+
+    @pytest.mark.parametrize("real_part", [1e-3, -1e-10])
+    def test_rejects_complex_pair_above_margin(self, real_part):
+        # The only modes at or above the margin are a complex pair, so the
+        # abscissa must be read from a 2x2 block of the Schur form.
+        block = linalg.block_diag([[real_part, 1.0], [-1.0, real_part]], [[-1.0, 0.3], [0.0, -2.0]])
+        V, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+        A = V @ block @ V.T
+        with pytest.raises(StabilityError, match="not Hurwitz"):
+            solve_lyapunov(A, np.eye(4), np.eye(4))
+
+    def test_rejects_bad_dual_input(self):
+        with pytest.raises(ValueError, match="equal shapes"):
+            solve_lyapunov(-np.eye(2), np.eye(2), np.eye(3))
+        with pytest.raises(ValueError, match="W_dual must be symmetric"):
+            solve_lyapunov(-np.eye(2), np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_sylvester_scale_and_info(self, monkeypatch):
+        A, B, C = random_stable_system(np.random.default_rng(2), 6)
+        W, W_dual = B @ B.T, C.T @ C
+        X_ref, Y_ref = solve_lyapunov(A, W, W_dual)
+        dtrsyl = linalg.lapack.dtrsyl
+
+        def scaled(*args, **kwargs):
+            # dtrsyl returns scale * solution when it rescales to avoid overflow.
+            x, _, info = dtrsyl(*args, **kwargs)
+            return 0.25 * x, 0.25, info
+
+        monkeypatch.setattr(linalg.lapack, "dtrsyl", scaled)
+        X, Y = solve_lyapunov(A, W, W_dual)
+        assert rel_diff(X, X_ref) <= 1e-14 and rel_diff(Y, Y_ref) <= 1e-14
+
+        monkeypatch.setattr(linalg.lapack, "dtrsyl", lambda *a, **k: (*dtrsyl(*a, **k)[:2], 1))
+        with pytest.warns(RuntimeWarning, match="perturbed"):
+            solve_lyapunov(A, W)
+
+        monkeypatch.setattr(linalg.lapack, "dtrsyl", lambda *a, **k: (*dtrsyl(*a, **k)[:2], -3))
+        with pytest.raises(ValueError, match="illegal value in argument 3"):
+            solve_lyapunov(A, W)

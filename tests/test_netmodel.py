@@ -176,6 +176,22 @@ class TestAssembleStateSpace:
         assert np.allclose(ss.B, [[0, 0], [0.5, 0], [0, 0.5]], atol=1e-15)
         assert np.allclose(ss.C[:, 1:], np.diag([np.sqrt(2), np.sqrt(2)]), atol=1e-15)
 
+    def test_matches_per_bus_loop(self, twelve_net, twelve_params):
+        # Reference: the per-bus loop the vectorized assembly replaced.
+        net, params = twelve_net, twelve_params
+        n, na = net.n, net.n - 1
+        M, D = params.m_total, params.d_total
+        for ref in range(n):
+            keep = [i for i in range(n) if i != ref]
+            A = np.zeros((2 * n - 1, 2 * n - 1))
+            for row, i in enumerate(keep):
+                A[row, na + i] = 1.0
+                A[row, na + ref] = -1.0
+            for i in range(n):
+                A[na + i, :na] = -net.L[i, keep] / M[i]
+                A[na + i, na + i] -= D[i] / M[i]
+            assert np.array_equal(vt.assemble_state_space(net, params, ref_bus=ref).A, A)
+
     def test_structural_zeros(self, twelve_net, twelve_params):
         ss = vt.assemble_state_space(twelve_net, twelve_params, ref_bus=0)
         na = twelve_net.n - 1

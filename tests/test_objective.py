@@ -105,6 +105,29 @@ class TestGradH2:
             rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-12)
             assert rel.max() < 1e-5
 
+    @pytest.mark.parametrize("known_location", [False, True])
+    def test_matches_per_bus_loop(self, twelve_net, twelve_params, known_location):
+        # Reference: the per-bus loop the vectorized contraction replaced.
+        eta = np.random.default_rng(6).random(twelve_net.n) if known_location else None
+        p = interior_point(twelve_params, np.random.default_rng(5))
+        ss = vt.assemble_state_space(twelve_net, p, 3, eta=eta)
+        P, Q = vt.gramians(ss)
+        n, na, M = p.n, p.n - 1, p.m_total
+        PQ, QB = P @ Q, Q @ ss.B
+        ref_m, ref_d = np.empty(n), np.empty(n)
+        for i in range(n):
+            w = na + i
+            a_term = -2.0 / M[i] * float(ss.A[w, :] @ PQ[:, w])
+            if eta is None:
+                b_term = -2.0 * Q[w, w] / M[i] ** 3
+            else:
+                b_term = -2.0 * eta[i] / M[i] ** 2 * float(QB[w, 0])
+            ref_m[i] = a_term + b_term + P[w, w]
+            ref_d[i] = -2.0 / M[i] * PQ[w, w]
+        grad_m, grad_d = vt.grad_h2(ss, p, P=P, Q=Q)
+        assert np.max(np.abs(grad_m - ref_m)) <= 1e-13 * np.max(np.abs(ref_m))
+        assert np.max(np.abs(grad_d - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
+
     def test_symmetric_network_symmetric_gradient(self, two_bus):
         net, params = two_bus
         p = params.with_design([0.5, 0.5], [0.3, 0.3])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import vsmtune as vt
+import vsmtune.optimizer as optimizer_module
 from vsmtune import DescentConfig, ObjectiveConfig, TerminationReason, optimize, project
 
 from conftest import single_machine
@@ -145,6 +147,32 @@ class TestOptimizeTwelveBus:
         assert np.array_equal(again.J_history, result.J_history)
         assert np.array_equal(again.m_star, result.m_star)
         assert np.array_equal(again.d_star, result.d_star)
+
+
+class TestEvaluationCost:
+    def test_one_schur_factorization_per_evaluation(self, monkeypatch, twelve_net, twelve_params):
+        counts = {"schur": 0, "eval": 0, "eigvals": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # scipy's own Lyapunov solver calls schur through its private module.
+        for module in (scipy.linalg, scipy.linalg._solvers):
+            monkeypatch.setattr(module, "schur", counting("schur", module.schur))
+        monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+        monkeypatch.setattr(
+            optimizer_module, "eval_objective", counting("eval", optimizer_module.eval_objective)
+        )
+        res = optimize(
+            twelve_net, twelve_params, ObjectiveConfig(beta=0.01), DescentConfig(max_iter=5)
+        )
+        assert res.iterations == 5
+        assert counts["eval"] >= res.iterations + 1
+        assert counts["schur"] == counts["eval"]
+        assert counts["eigvals"] == 0
 
 
 class TestObservedProperties:
