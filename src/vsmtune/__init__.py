@@ -2,7 +2,7 @@
 
 Builds a Kron-reduced swing-equation model of a power network, minimizes
 a regularized H2 norm of the frequency dynamics over per-bus virtual
-inertia and damping coefficients with projected gradient descent, and
+inertia and damping coefficients with spectral projected gradient, and
 verifies designs with a time-domain frequency-response simulator.
 """
 

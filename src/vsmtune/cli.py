@@ -58,7 +58,6 @@ class RunConfig:
     horizon: float = 25.0
     dt: float = 1e-3
     max_iter: int = 5000
-    gamma0: float = 1e-2
     grad_tol: float = 1e-6
     seed_point: str | None = None
     coeffs_file: Path | None = None
@@ -131,7 +130,6 @@ def _seed_point(cfg: RunConfig, params: DeviceParams) -> tuple[np.ndarray | None
 def _descent_config(cfg: RunConfig, params: DeviceParams) -> DescentConfig:
     init_m, init_d = _seed_point(cfg, params)
     return DescentConfig(
-        gamma0=cfg.gamma0,
         max_iter=cfg.max_iter,
         grad_tol=cfg.grad_tol,
         init_m=init_m,
@@ -375,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--beta", type=float, default=0.0,
                            help="inertia regularization weight (may be negative)")
             p.add_argument("--max-iter", type=int, default=5000)
-            p.add_argument("--gamma0", type=float, default=1e-2,
-                           help="reference gradient step size")
             p.add_argument("--grad-tol", type=float, default=1e-6,
                            help="projected-gradient convergence tolerance")
             p.add_argument("--seed-point", default=None,
@@ -427,7 +423,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         ref_bus=args.ref_bus,
         bounds=_parse_bounds(args.bounds) if args.bounds else None,
     )
-    for name in ("beta", "max_iter", "gamma0", "grad_tol", "seed_point",
+    for name in ("beta", "max_iter", "grad_tol", "seed_point",
                  "disturb_node", "disturb_kind", "magnitude", "horizon", "dt",
                  "known_location"):
         if hasattr(args, name):

@@ -134,6 +134,9 @@ def objective_value(
     net: ReducedNetwork,
     ref_bus: int,
 ) -> float:
-    """Value-only evaluation (single gramian solve); used by line searches."""
+    """Value-only evaluation (single gramian solve) for tests and finite differences.
+
+    ``optimizer.py`` keeps it bound because ``perfbench/traced.py`` wraps it there by name.
+    """
     ss = assemble_state_space(net, params, ref_bus, eta=cfg.eta)
     return h2_norm_sq(ss) + float(cfg.beta * np.dot(params.m, params.m))

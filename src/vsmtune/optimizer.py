@@ -1,15 +1,16 @@
-"""Projected gradient descent over box-constrained device coefficients.
+"""Spectral projected gradient over box-constrained device coefficients.
 
 Iterates ``alpha <- Proj[alpha - gamma * grad J(alpha)]`` where
 ``alpha = [m, d]`` stacks the virtual inertia and damping vectors and
-``Proj`` clamps to the box. The step ``gamma`` comes from Armijo
-backtracking along the projection arc, which keeps the objective history
-monotone for this smooth nonconvex problem; trial points whose dynamics
-are not Hurwitz are rejected and the step halved. Each trial is a full
-objective evaluation, so the accepted one already carries the gradient
-for the next iteration. Convergence is judged
-on the projected-gradient residual rather than the raw gradient norm,
-since optima routinely sit on the box boundary.
+``Proj`` clamps to the box. Each iteration's first trial step is the
+Barzilai-Borwein step ``s's / s'y`` from the last accepted step ``s`` and
+gradient change ``y``; an Armijo line search along the projection arc
+halves it until J decreases enough, and rejects trials whose dynamics
+are not Hurwitz. Each trial is a full objective evaluation, so the
+accepted one already carries the gradient for the next iteration.
+Convergence is judged on the unit-step projected-gradient (KKT) residual
+rather than the raw gradient norm, since optima routinely sit on the
+box boundary.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .objective import ObjectiveConfig, eval_objective, objective_value  # noqa:
 log = logging.getLogger(__name__)
 
 STEP_FLOOR = 1e-14
+STEP_CAP = 1e10
+SUFFICIENT_DECREASE = 1e-4
+STEP_SHRINK = 0.5
 
 
 class TerminationReason(str, enum.Enum):
@@ -38,23 +42,14 @@ class TerminationReason(str, enum.Enum):
 
 @dataclass(frozen=True)
 class DescentConfig:
-    """Step-size and termination settings for the descent loop."""
+    """Termination settings and optional starting point for the descent loop."""
 
-    gamma0: float = 1e-2
     max_iter: int = 5000
     grad_tol: float = 1e-6
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
     init_m: np.ndarray | None = None
     init_d: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.gamma0 > 0:
-            raise ConfigurationError("gamma0 must be positive")
-        if not 0 < self.backtrack < 1:
-            raise ConfigurationError("backtrack factor must lie in (0, 1)")
-        if not 0 < self.armijo_c < 1:
-            raise ConfigurationError("armijo_c must lie in (0, 1)")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be at least 1")
         if not self.grad_tol > 0:
@@ -94,9 +89,12 @@ def optimize(
 
     The starting point is ``(dcfg.init_m, dcfg.init_d)`` when given and
     the box midpoint otherwise; it must lie inside the box and yield
-    Hurwitz dynamics. Termination: projected-gradient residual at the
-    reference step ``gamma0`` below ``grad_tol * (1 + ||alpha_0||)``,
-    the iteration cap, or the backtracked step underflowing.
+    Hurwitz dynamics. With ``r(alpha) = alpha - Proj[alpha - grad J]``, the
+    first trial step is ``1/||r(alpha_0)||_inf`` and later ones the
+    Barzilai-Borwein step (``STEP_CAP`` when ``s'y <= 0``). Termination:
+    unit-step residual ``||r(alpha)||_2`` below
+    ``grad_tol * (1 + ||alpha_0||)``, the iteration cap, or the halved
+    step falling below ``STEP_FLOOR``.
     """
     n = params.n
     lb = np.concatenate([params.m_lb, params.d_lb])
@@ -118,14 +116,14 @@ def optimize(
 
     ev = eval_objective(split(alpha), cfg, net, ref_bus)
     J = ev.J_total
+    grad = np.concatenate([ev.grad_m, ev.grad_d])
     J_history = [J]
     iterations = 0
     converged = False
 
     while True:
-        grad = np.concatenate([ev.grad_m, ev.grad_d])
-        residual = float(np.linalg.norm(alpha - project(alpha - dcfg.gamma0 * grad, lb, ub)))
-        if residual <= tol:
+        pg = alpha - project(alpha - grad, lb, ub)
+        if float(np.linalg.norm(pg)) <= tol:
             converged = True
             reason = TerminationReason.gradient_tol
             break
@@ -133,7 +131,7 @@ def optimize(
             reason = TerminationReason.max_iter
             break
 
-        gamma = dcfg.gamma0
+        gamma = bb_step if iterations else 1.0 / float(np.max(np.abs(pg)))
         accepted = None
         while gamma >= STEP_FLOOR:
             trial = project(alpha - gamma * grad, lb, ub)
@@ -141,18 +139,21 @@ def optimize(
             try:
                 ev_trial = eval_objective(split(trial), cfg, net, ref_bus)
             except (StabilityError, ParameterError):
-                gamma *= dcfg.backtrack
+                gamma *= STEP_SHRINK
                 continue
-            if ev_trial.J_total <= J + dcfg.armijo_c * float(grad @ step):
+            if ev_trial.J_total <= J + SUFFICIENT_DECREASE * float(grad @ step):
                 accepted = (trial, ev_trial)
                 break
-            gamma *= dcfg.backtrack
+            gamma *= STEP_SHRINK
 
         if accepted is None:
             reason = TerminationReason.step_collapse
             break
 
         alpha, ev = accepted
+        grad_prev, grad = grad, np.concatenate([ev.grad_m, ev.grad_d])
+        sy = float(step @ (grad - grad_prev))
+        bb_step = min(STEP_CAP, float(step @ step) / sy) if sy > 0 else STEP_CAP
         J = ev.J_total
         J_history.append(J)
         iterations += 1

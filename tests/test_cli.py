@@ -2,8 +2,10 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import vsmtune as vt
 import vsmtune.cli as cli
 from vsmtune import StabilityError, bundled_network_path
 
@@ -68,7 +70,7 @@ class TestReduce:
 class TestOptimize:
     def test_writes_outputs(self, tmp_path):
         assert run(
-            "optimize", "--beta", 0.01, "--gamma0", 0.1, "--grad-tol", 1e-3,
+            "optimize", "--beta", 0.01, "--grad-tol", 1e-3,
             "--max-iter", 4000, "--out", tmp_path,
         ) == 0
         coeffs = read_csv(tmp_path / "coefficients.csv")
@@ -82,9 +84,31 @@ class TestOptimize:
         assert summary["formulation"] == "unknown_location"
         assert summary["termination_reason"] == "gradient_tol"
 
+    def test_defaults_converge_to_kkt_point(self, tmp_path, twelve_doc, twelve_net, twelve_params):
+        # No tuning flags: the default tolerance must be reached well inside
+        # the default iteration cap, and the written design must pass an
+        # independently recomputed unit-step projected-gradient check.
+        assert run("optimize", "--out", tmp_path) == 0
+        summary = read_csv(tmp_path / "summary.csv")[0]
+        assert summary["converged"] == "true"
+        assert summary["termination_reason"] == "gradient_tol"
+        coeffs = {int(r["bus"]): r for r in read_csv(tmp_path / "coefficients.csv")}
+        m = np.array([float(coeffs[g]["m_opt"]) for g in twelve_net.gen_ids])
+        d = np.array([float(coeffs[g]["d_opt"]) for g in twelve_net.gen_ids])
+        ev = vt.eval_objective(twelve_params.with_design(m, d), vt.ObjectiveConfig(),
+                               twelve_net, twelve_net.index_of(twelve_doc.ref_bus))
+        assert abs(float(summary["J_final"]) - ev.J_total) <= 1e-12 * abs(ev.J_total)
+        alpha = np.concatenate([m, d])
+        grad = np.concatenate([ev.grad_m, ev.grad_d])
+        lb = np.concatenate([twelve_params.m_lb, twelve_params.d_lb])
+        ub = np.concatenate([twelve_params.m_ub, twelve_params.d_ub])
+        residual = np.linalg.norm(alpha - vt.project(alpha - grad, lb, ub))
+        alpha0 = np.concatenate(twelve_params.box_midpoint())
+        assert residual <= 1e-6 * (1 + np.linalg.norm(alpha0))
+
     def test_known_location_formulation(self, tmp_path):
         assert run(
-            "optimize", "--beta", 0.01, "--gamma0", 0.1, "--grad-tol", 1e-3,
+            "optimize", "--beta", 0.01, "--grad-tol", 1e-3,
             "--disturb-node", 6, "--out", tmp_path,
         ) == 0
         summary = read_csv(tmp_path / "summary.csv")[0]
@@ -92,7 +116,7 @@ class TestOptimize:
 
     def test_floats_have_full_precision(self, tmp_path):
         assert run(
-            "optimize", "--beta", 0.01, "--gamma0", 0.1, "--grad-tol", 1e-2,
+            "optimize", "--beta", 0.01, "--grad-tol", 1e-2,
             "--out", tmp_path,
         ) == 0
         conv = read_csv(tmp_path / "convergence.csv")
@@ -103,7 +127,7 @@ class TestOptimize:
 
     def test_seed_point_fraction(self, tmp_path):
         assert run(
-            "optimize", "--beta", 0.01, "--gamma0", 0.1, "--grad-tol", 1e-2,
+            "optimize", "--beta", 0.01, "--grad-tol", 1e-2,
             "--seed-point", 0.25, "--max-iter", 5, "--out", tmp_path,
         ) == 0
 
@@ -155,7 +179,7 @@ class TestSimulate:
 
     def test_coefficients_from_file(self, tmp_path):
         assert run(
-            "optimize", "--beta", 0.01, "--gamma0", 0.1, "--grad-tol", 1e-2,
+            "optimize", "--beta", 0.01, "--grad-tol", 1e-2,
             "--out", tmp_path,
         ) == 0
         assert run(
@@ -174,7 +198,7 @@ class TestSimulate:
 class TestCompare:
     def test_three_variants_written(self, tmp_path):
         assert run(
-            "compare", "--beta", 0.01, "--gamma0", 0.1, "--grad-tol", 1e-2,
+            "compare", "--beta", 0.01, "--grad-tol", 1e-2,
             "--disturb-node", 6, "--horizon", 5.0, "--out", tmp_path,
         ) == 0
         for label in ("d_max_m_min", "d_opt_m_opt", "d_max_m_max"):
@@ -191,12 +215,12 @@ class TestSweepBeta:
         # places the simulated disturbance and selects the metrics row.
         sweep_dir = tmp_path / "sweep"
         assert run(
-            "sweep-beta", "--betas", "0.01", "--gamma0", 0.1, "--grad-tol", 1e-3,
+            "sweep-beta", "--betas", "0.01", "--grad-tol", 1e-3,
             "--disturb-node", 6, "--horizon", 10.0, "--out", sweep_dir,
         ) == 0
         opt_dir = tmp_path / "opt"
         assert run(
-            "optimize", "--beta", 0.01, "--gamma0", 0.1, "--grad-tol", 1e-3,
+            "optimize", "--beta", 0.01, "--grad-tol", 1e-3,
             "--out", opt_dir,
         ) == 0
         sweep_coeffs = read_csv(sweep_dir / "coefficients_b0.csv")
@@ -215,7 +239,7 @@ class TestSweepBeta:
 
     def test_sweep_table_columns(self, tmp_path):
         assert run(
-            "sweep-beta", "--betas=-0.05,0.05", "--gamma0", 0.1, "--grad-tol", 1e-3,
+            "sweep-beta", "--betas=-0.05,0.05", "--grad-tol", 1e-3,
             "--disturb-node", 6, "--horizon", 5.0, "--out", tmp_path,
         ) == 0
         rows = read_csv(tmp_path / "sweep.csv")
@@ -227,13 +251,13 @@ class TestSweepBeta:
     def test_known_location_sweep(self, tmp_path):
         assert run(
             "sweep-beta", "--betas", "0.01", "--known-location",
-            "--gamma0", 0.1, "--grad-tol", 1e-3,
+            "--grad-tol", 1e-3,
             "--disturb-node", 6, "--horizon", 5.0, "--out", tmp_path,
         ) == 0
         opt_dir = tmp_path / "opt"
         assert run(
             "optimize", "--beta", 0.01, "--disturb-node", 6,
-            "--gamma0", 0.1, "--grad-tol", 1e-3, "--out", opt_dir,
+            "--grad-tol", 1e-3, "--out", opt_dir,
         ) == 0
         assert read_csv(tmp_path / "coefficients_b0.csv") == read_csv(
             opt_dir / "coefficients.csv"
@@ -242,6 +266,14 @@ class TestSweepBeta:
     def test_unparseable_betas_exit_2(self, tmp_path):
         assert run("sweep-beta", "--betas", "a,b", "--disturb-node", 6,
                    "--out", tmp_path) == 2
+
+
+@pytest.mark.parametrize("command", [["optimize"], ["compare"], ["sweep-beta", "--betas", 0]])
+def test_removed_gamma0_flag_rejected(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*command, "--gamma0", 0.1, "--out", tmp_path)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gamma0" in capsys.readouterr().err
 
 
 class TestErrorMapping:

@@ -45,10 +45,6 @@ class TestDescentConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"gamma0": 0.0},
-            {"backtrack": 1.0},
-            {"backtrack": 0.0},
-            {"armijo_c": 1.5},
             {"max_iter": 0},
             {"grad_tol": 0.0},
         ],
@@ -66,7 +62,7 @@ class TestOptimizeSingleMachine:
         net, params = single_machine(m_hat=1.0, d_hat=1.0, m=1.0, d=1.0,
                                      m_box=(0.5, 3.0), d_box=(0.2, 2.0))
         res = optimize(net, params, ObjectiveConfig(beta=2.0),
-                       DescentConfig(gamma0=0.1), ref_bus=0)
+                       DescentConfig(), ref_bus=0)
         assert res.converged
         assert res.termination_reason is TerminationReason.gradient_tol
         assert res.m_star[0] == 0.5
@@ -76,7 +72,7 @@ class TestOptimizeSingleMachine:
         net, params = single_machine(m_hat=1.0, d_hat=1.0, m=1.0, d=1.0,
                                      m_box=(0.5, 3.0), d_box=(0.2, 2.0))
         res = optimize(net, params, ObjectiveConfig(beta=-2.0),
-                       DescentConfig(gamma0=0.1), ref_bus=0)
+                       DescentConfig(), ref_bus=0)
         assert res.converged
         assert res.m_star[0] == 3.0
         assert res.d_star[0] == 2.0
@@ -98,7 +94,7 @@ class TestOptimizeSingleMachine:
 def result(twelve_net, twelve_params):
     return optimize(
         twelve_net, twelve_params, ObjectiveConfig(beta=0.01),
-        DescentConfig(gamma0=0.1, grad_tol=1e-4, max_iter=20000), ref_bus=0,
+        DescentConfig(grad_tol=1e-4, max_iter=20000), ref_bus=0,
     )
 
 
@@ -117,14 +113,14 @@ class TestOptimizeTwelveBus:
         assert np.all(result.d_star <= twelve_params.d_ub)
 
     def test_fixed_point_residual(self, result, twelve_net, twelve_params):
-        dcfg = DescentConfig(gamma0=0.1, grad_tol=1e-4, max_iter=20000)
+        dcfg = DescentConfig(grad_tol=1e-4, max_iter=20000)
         p = twelve_params.with_design(result.m_star, result.d_star)
         ev = vt.eval_objective(p, ObjectiveConfig(beta=0.01), twelve_net, 0)
         alpha = np.concatenate([result.m_star, result.d_star])
         grad = np.concatenate([ev.grad_m, ev.grad_d])
         lb = np.concatenate([twelve_params.m_lb, twelve_params.d_lb])
         ub = np.concatenate([twelve_params.m_ub, twelve_params.d_ub])
-        residual = np.linalg.norm(alpha - project(alpha - dcfg.gamma0 * grad, lb, ub))
+        residual = np.linalg.norm(alpha - project(alpha - grad, lb, ub))
         m0, d0 = twelve_params.box_midpoint()
         tol = dcfg.grad_tol * (1 + np.linalg.norm(np.concatenate([m0, d0])))
         assert residual <= tol
@@ -133,7 +129,7 @@ class TestOptimizeTwelveBus:
         for cap in (1, 3, 7):
             res = optimize(
                 twelve_net, twelve_params, ObjectiveConfig(beta=0.01),
-                DescentConfig(gamma0=0.1, max_iter=cap), ref_bus=0,
+                DescentConfig(max_iter=cap), ref_bus=0,
             )
             assert np.all(res.m_star >= twelve_params.m_lb)
             assert np.all(res.m_star <= twelve_params.m_ub)
@@ -142,11 +138,23 @@ class TestOptimizeTwelveBus:
     def test_deterministic(self, twelve_net, twelve_params, result):
         again = optimize(
             twelve_net, twelve_params, ObjectiveConfig(beta=0.01),
-            DescentConfig(gamma0=0.1, grad_tol=1e-4, max_iter=20000), ref_bus=0,
+            DescentConfig(grad_tol=1e-4, max_iter=20000), ref_bus=0,
         )
         assert np.array_equal(again.J_history, result.J_history)
         assert np.array_equal(again.m_star, result.m_star)
         assert np.array_equal(again.d_star, result.d_star)
+
+
+class TestDefaultConvergence:
+    def test_default_config_converges_in_few_iterations(self, twelve_net, twelve_params):
+        # The Barzilai-Borwein step follows the flat total-inertia direction,
+        # which a fixed reference step crawled along for over a thousand
+        # iterations even at a hundredfold coarser tolerance.
+        res = optimize(twelve_net, twelve_params, ObjectiveConfig(beta=5e-4),
+                       DescentConfig(), ref_bus=0)
+        assert res.converged
+        assert res.termination_reason is TerminationReason.gradient_tol
+        assert res.iterations < 100
 
 
 class TestEvaluationCost:
@@ -179,7 +187,7 @@ class TestObservedProperties:
     def test_total_inertia_shrinks_as_beta_grows(self, twelve_net, twelve_params):
         # Observed on the bundled case (nonconvexity admits exceptions in
         # general): a larger penalty on ||m||^2 never grows the optimal total.
-        dcfg = DescentConfig(gamma0=0.1, grad_tol=1e-4, max_iter=20000)
+        dcfg = DescentConfig(grad_tol=1e-4, max_iter=20000)
         totals = []
         for beta in (-0.1, 0.0, 0.1):
             res = optimize(twelve_net, twelve_params, ObjectiveConfig(beta=beta),
