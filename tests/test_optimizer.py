@@ -45,6 +45,10 @@ class TestDescentConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            {"max_iter": -1},
+            {"grad_tol": -1e-6},
+            {"grad_tol": float("nan")},
+            {"grad_tol": float("-inf")},
             {"max_iter": 0},
             {"grad_tol": 0.0},
         ],
