@@ -45,7 +45,7 @@ from .objective import (
     objective_value,
 )
 from .optimizer import DescentConfig, OptResult, TerminationReason, optimize, project
-from .simulator import Disturbance, SimResult, compare_designs, output_energy, simulate
+from .simulator import Disturbance, SimResult, compare_designs, simulate
 
 __version__ = "0.1.0"
 
@@ -83,7 +83,6 @@ __all__ = [
     "load_network",
     "objective_value",
     "optimize",
-    "output_energy",
     "parse_network",
     "project",
     "reduce_network",

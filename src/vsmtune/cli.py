@@ -104,14 +104,20 @@ def _parse_bounds(text: str) -> dict[str, float]:
     parts = text.split(",")
     if len(parts) != 4:
         raise ConfigurationError("--bounds expects 'm_lb,m_ub,d_lb,d_ub'")
-    values = [float(p) for p in parts]
+    try:
+        values = [float(p) for p in parts]
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot parse --bounds: {exc}") from exc
     return dict(zip(["m_lb", "m_ub", "d_lb", "d_ub"], values))
 
 
 def _seed_point(cfg: RunConfig, params: DeviceParams) -> tuple[np.ndarray | None, np.ndarray | None]:
     if cfg.seed_point is None:
         return None, None
-    parts = [float(p) for p in cfg.seed_point.split(",")]
+    try:
+        parts = [float(p) for p in cfg.seed_point.split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot parse --seed-point: {exc}") from exc
     n = params.n
     if len(parts) == 1:
         lam = parts[0]
@@ -154,7 +160,10 @@ def _load_coeffs(path: Path, gen_ids: tuple[int, ...]) -> tuple[np.ndarray, np.n
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
-                by_id[int(row["bus"])] = (float(row["m_opt"]), float(row["d_opt"]))
+                bus = int(row["bus"])
+                if bus in by_id:
+                    raise ValidationError(f"coefficients file {path} repeats bus {bus}")
+                by_id[bus] = (float(row["m_opt"]), float(row["d_opt"]))
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"cannot read coefficients file {path}: {exc}") from exc
     missing = [gid for gid in gen_ids if gid not in by_id]
@@ -177,9 +186,21 @@ def _metrics_rows(gen_ids, result: SimResult, prefix: tuple = ()):
 
 
 def _write_trajectory(path: Path, gen_ids, result: SimResult) -> None:
+    """Write ``t`` and every bus's ``omega`` as one CSV row per sample.
+
+    Every value is a float, so one ``%.17g`` template per row prints the
+    same text as ``_write_csv`` (``-0``, ``inf`` and ``nan`` included),
+    with the same CRLF terminator as ``csv.writer``, at a fraction of
+    the per-value cost.
+    """
     header = ["t"] + [f"omega_{gid}" for gid in gen_ids]
     rows = np.column_stack([result.t, result.omega.T])
-    _write_csv(path, header, rows)
+    template = ",".join(["%.17g"] * len(header)) + "\r\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(template % tuple(row) for row in rows.tolist())
+    log.info("wrote %s", path)
 
 
 def _write_coefficients(path: Path, ctx: _Context, m: np.ndarray, d: np.ndarray) -> None:

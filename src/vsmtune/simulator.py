@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import StabilityError, ValidationError
 from .netmodel import DeviceParams, ReducedNetwork, StateSpace, assemble_state_space
@@ -188,17 +187,6 @@ def simulate(
         settle_band=band,
         warnings=tuple(warnings),
     )
-
-
-def output_energy(result: SimResult, params: DeviceParams) -> float:
-    """Quadrature of the kinetic output energy ``integral omega^T M omega dt``.
-
-    For an impulse disturbance this matches the corresponding H2 channel
-    contribution; it ties the simulator to the gramian-based objective.
-    """
-    M = params.m_total
-    integrand = (M[:, None] * result.omega**2).sum(axis=0)
-    return float(simpson(integrand, x=result.t))
 
 
 def compare_designs(

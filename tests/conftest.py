@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 import vsmtune as vt
 
@@ -77,3 +78,14 @@ def random_connected_spec(rng, n_buses, n_loads=0):
         a, b = rng.choice(n_buses, size=2, replace=False)
         lines.append(vt.Line(int(buses[a].id), int(buses[b].id), float(0.5 + 5 * rng.random())))
     return vt.NetworkSpec(buses=buses, lines=tuple(lines))
+
+
+def output_energy(result, params):
+    """Quadrature of the kinetic output energy ``integral omega^T M omega dt``.
+
+    For an impulse disturbance this matches the corresponding H2 channel
+    contribution; it ties the simulator to the gramian-based objective.
+    """
+    M = params.m_total
+    integrand = (M[:, None] * result.omega**2).sum(axis=0)
+    return float(simpson(integrand, x=result.t))

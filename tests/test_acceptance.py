@@ -23,7 +23,7 @@ from vsmtune import (
     solve_lyapunov,
 )
 
-from conftest import random_stable_system, single_machine
+from conftest import output_energy, random_stable_system, single_machine
 
 # Descent settings shared by the optimizer-based criteria: the library
 # default residual tolerance, verified explicitly after each run.
@@ -230,7 +230,7 @@ def test_criterion_7_energy_consistency(two_bus, twelve_net, twelve_params):
         _, Q2 = vt.gramians(ss2)
         channel = float(ss2.B[:, 0] @ Q2 @ ss2.B[:, 0])
         sim2 = simulate(ss2, Disturbance("impulse", 0, 1.0), horizon=40.0, dt=1e-3)
-        energy = vt.output_energy(sim2, params2)
+        energy = output_energy(sim2, params2)
         assert abs(energy - channel) <= 1e-4 * channel
 
         node = twelve_net.index_of(6)
@@ -238,7 +238,7 @@ def test_criterion_7_energy_consistency(two_bus, twelve_net, twelve_params):
         _, Q12 = vt.gramians(ss12)
         channel12 = float(ss12.B[:, node] @ Q12 @ ss12.B[:, node])
         sim12 = simulate(ss12, Disturbance("impulse", node, 1.0), horizon=40.0, dt=1e-3)
-        energy12 = vt.output_energy(sim12, twelve_params)
+        energy12 = output_energy(sim12, twelve_params)
         assert abs(energy12 - channel12) <= 1e-4 * channel12
 
 

@@ -137,6 +137,14 @@ class TestOptimize:
     def test_bad_bounds_exit_2(self, tmp_path):
         assert run("optimize", "--bounds", "1,2,3", "--out", tmp_path) == 2
 
+    def test_non_numeric_seed_point_exit_2(self, tmp_path, capsys):
+        assert run("optimize", "--seed-point", "abc", "--out", tmp_path) == 2
+        assert "--seed-point" in capsys.readouterr().err
+
+    def test_non_numeric_bounds_exit_2(self, tmp_path, capsys):
+        assert run("optimize", "--bounds", "a,b,c,d", "--out", tmp_path) == 2
+        assert "--bounds" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_trajectory_and_metrics(self, tmp_path):
@@ -193,6 +201,50 @@ class TestSimulate:
         assert run(
             "simulate", "--coeffs", path, "--disturb-node", 6, "--out", tmp_path,
         ) == 2
+
+    def test_rejects_duplicate_bus_in_coeffs(self, tmp_path, capsys):
+        rows = [f"{g},0.5,0.5" for g in (1, 2, 4, 5, 6, 8, 9, 10, 12)] + ["5,2.0,2.0"]
+        path = tmp_path / "duplicate.csv"
+        path.write_text("bus,m_opt,d_opt\n" + "\n".join(rows) + "\n")
+        assert run(
+            "simulate", "--coeffs", path, "--disturb-node", 6, "--out", tmp_path,
+        ) == 2
+        assert "repeats bus 5" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+
+class TestTrajectoryWriter:
+    @staticmethod
+    def per_value_reference(path, gen_ids, result):
+        """Reference writer: ``csv.writer`` over ``_fmt`` of each value, as ``_write_csv`` does."""
+        rows = np.column_stack([result.t, result.omega.T])
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t"] + [f"omega_{gid}" for gid in gen_ids])
+            for row in rows:
+                writer.writerow([cli._fmt(v) for v in row])
+
+    def test_bytes_match_per_value_writer(self, tmp_path):
+        specials = [-0.0, 5e-324, 1e300, np.inf, np.nan, -np.inf, 0.1, -1.2345678901234567e-7]
+        t = np.arange(len(specials)) * 1e-3
+        omega = np.array([specials, specials[::-1], np.linspace(-1.0, 1.0, len(specials))])
+        result = vt.SimResult(
+            t=t, omega=omega, rocof_max=np.zeros(3), nadir=np.zeros(3),
+            settle_time=np.zeros(3), omega_ss=np.zeros(3), settle_band=np.zeros(3),
+        )
+        gen_ids = (1, 4, 12)
+        self.per_value_reference(tmp_path / "reference.csv", gen_ids, result)
+        cli._write_trajectory(tmp_path / "trajectory.csv", gen_ids, result)
+        written = (tmp_path / "trajectory.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        lines = written.split(b"\n")
+        assert lines[-1] == b""
+        assert len(lines) == len(t) + 2
+        assert all(line.endswith(b"\r") for line in lines[:-1])
+        omega_1 = [line.split(b",")[1] for line in lines[1:-1]]
+        assert omega_1[:6] == [
+            b"-0", b"4.9406564584124654e-324", b"1.0000000000000001e+300", b"inf", b"nan", b"-inf",
+        ]
 
 
 class TestCompare:

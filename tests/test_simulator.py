@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import vsmtune as vt
-from vsmtune import Disturbance, compare_designs, output_energy, simulate
+from vsmtune import Disturbance, compare_designs, simulate
 
-from conftest import single_machine
+from conftest import output_energy, single_machine
 
 
 @pytest.fixture
@@ -189,3 +194,12 @@ class TestCompareDesigns:
                 [("a", twelve_params), ("a", twelve_params)],
                 Disturbance("step", 0, 0.1),
             )
+
+
+def test_import_does_not_load_scipy_integrate():
+    src = str(Path(vt.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import vsmtune, sys; print('scipy.integrate' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"
