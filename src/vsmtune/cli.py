@@ -169,6 +169,11 @@ def _load_coeffs(path: Path, gen_ids: tuple[int, ...]) -> tuple[np.ndarray, np.n
     missing = [gid for gid in gen_ids if gid not in by_id]
     if missing:
         raise ValidationError(f"coefficients file {path} misses buses {missing}")
+    foreign = sorted(set(by_id) - set(gen_ids))
+    if foreign:
+        raise ValidationError(
+            f"coefficients file {path} lists buses {foreign} that are not generators of the network"
+        )
     m = np.array([by_id[g][0] for g in gen_ids])
     d = np.array([by_id[g][1] for g in gen_ids])
     return m, d

@@ -7,6 +7,10 @@ the H2 objective: ``W = B B^T`` and ``W_dual = C^T C``. Each call costs
 one real Schur factorization ``A = U T U^T`` (Bartels and Stewart, 1972),
 which also gives the stability check, plus one triangular Sylvester solve
 (LAPACK ``dtrsyl``) per equation.
+
+scipy is imported at the first solve, not with the module: ``import
+vsmtune`` and the commands that never solve a Lyapunov equation
+(``reduce``, ``simulate``, ``compare --coeffs``) run on numpy alone.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy import linalg
-from scipy.linalg import lapack
 
 from .errors import StabilityError
 
@@ -62,6 +64,8 @@ def _solve_schur(T: np.ndarray, U: np.ndarray, W: np.ndarray, trans: str) -> np.
     ``trans="N"`` solves ``T X + X T^T = -U^T W U`` (the primal equation),
     ``trans="T"`` solves ``T^T X + X T = -U^T W U`` (the dual one).
     """
+    from scipy.linalg import lapack
+
     tranb = "T" if trans == "N" else "N"
     Xt, scale, info = lapack.dtrsyl(T, T, -(U.T @ W @ U), trana=trans, tranb=tranb)
     if info < 0:
@@ -82,7 +86,8 @@ def solve_lyapunov(
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Solve ``A X + X A^T + W = 0`` and optionally ``A^T Y + Y A + W_dual = 0``.
 
-    Factors ``A = U T U^T`` once (real Schur form). The spectral abscissa
+    Factors ``A = U T U^T`` once (real Schur form, ``scipy.linalg.schur``;
+    scipy is imported here on the first call). The spectral abscissa
     is read as ``max(diag(T))``: LAPACK standardizes each 2x2 block of
     ``T`` to equal diagonal entries, which are the real part of that
     complex pair, and 1x1 blocks are the real eigenvalues. Each equation
@@ -106,6 +111,8 @@ def solve_lyapunov(
     ValueError
         On non-square, non-finite, mismatched, or asymmetric inputs.
     """
+    from scipy import linalg
+
     A = _as_square(A, "A")
     W = _as_symmetric(W, "W", A.shape)
     if W_dual is not None:

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +214,46 @@ class TestSimulate:
         ) == 2
         assert "repeats bus 5" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_rejects_foreign_bus_in_coeffs(self, tmp_path, capsys):
+        rows = [f"{g},0.5,0.5" for g in (1, 2, 4, 5, 6, 8, 9, 10, 12)] + ["99,2.0,2.0"]
+        path = tmp_path / "foreign.csv"
+        path.write_text("bus,m_opt,d_opt\n" + "\n".join(rows) + "\n")
+        assert run(
+            "simulate", "--coeffs", path, "--disturb-node", 6, "--out", tmp_path,
+        ) == 2
+        assert "[99]" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--dt", "nan"), ("--horizon", "nan"),
+                                            ("--horizon", "inf"), ("--dt", "inf")])
+    def test_non_finite_dt_or_horizon_exit_2(self, flag, value, tmp_path, capsys):
+        assert run("simulate", "--disturb-node", 1, flag, value, "--out", tmp_path) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_numpy_only_commands_leave_scipy_linalg_unloaded(self, tmp_path, twelve_params):
+        # reduce, simulate and compare --coeffs never solve a Lyapunov equation.
+        coeffs = tmp_path / "coefficients.csv"
+        rows = [f"{g},{float(m)!r},{float(d)!r}" for g, m, d in zip(
+            (1, 2, 4, 5, 6, 8, 9, 10, 12), twelve_params.m_ub, twelve_params.d_ub)]
+        coeffs.write_text("bus,m_opt,d_opt\n" + "\n".join(rows) + "\n")
+        script = (
+            "import sys, vsmtune.cli as cli\n"
+            "out = sys.argv[1]\n"
+            "codes = [cli.main(['reduce', '--out', out]),\n"
+            "         cli.main(['simulate', '--disturb-node', '1', '--horizon', '1', '--out', out]),\n"
+            "         cli.main(['compare', '--disturb-node', '1', '--horizon', '1',\n"
+            "                   '--coeffs', sys.argv[2], '--out', out])]\n"
+            "print(codes, 'scipy.linalg' in sys.modules)\n"
+        )
+        src = str(Path(vt.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out"), str(coeffs)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0] False"
 
 
 class TestTrajectoryWriter:

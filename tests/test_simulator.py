@@ -9,7 +9,7 @@ import pytest
 import vsmtune as vt
 from vsmtune import Disturbance, compare_designs, simulate
 
-from conftest import output_energy, single_machine
+from conftest import output_energy, random_connected_spec, single_machine
 
 
 @pytest.fixture
@@ -115,6 +115,93 @@ class TestSimulateNetwork:
         assert np.allclose(res_eta.omega, res_full.omega, atol=1e-14)
 
 
+def per_step_reference(ss, dist, horizon, dt):
+    """Reference RK4: the affine one-step map ``x+ = Phi x + Gamma B u`` stepped sample by sample.
+
+    Returns ``(omega, rocof_max, nadir, omega_ss, t)``; ``simulate``'s power
+    doubling about the equilibrium must reproduce this recursion to rounding.
+    """
+    A, B = ss.A, ss.B
+    dim, na = A.shape[0], ss.n_machines - 1
+    col = 0 if B.shape[1] == 1 else dist.node
+    eye = np.eye(dim)
+    hA = dt * A
+    hA2 = hA @ hA
+    hA3 = hA2 @ hA
+    phi = eye + hA + hA2 / 2.0 + hA3 / 6.0 + hA3 @ hA / 24.0
+    gamma = dt * (eye + hA / 2.0 + hA2 / 6.0 + hA3 / 24.0)
+    if dist.kind == "step":
+        bu = B[:, col] * dist.magnitude
+        x = np.zeros(dim)
+    else:
+        bu = np.zeros(dim)
+        x = B[:, col] * dist.magnitude
+    gc = gamma @ bu
+    steps = int(round(horizon / dt))
+    xs = np.empty((steps + 1, dim))
+    xs[0] = x
+    for k in range(steps):
+        x = phi @ x + gc
+        xs[k + 1] = x
+    omega = xs[:, na:].T
+    rocof_max = np.abs((xs @ A.T + bu)[:, na:]).max(axis=0)
+    omega_ss = (np.linalg.solve(A, -bu) if dist.kind == "step" and dist.magnitude != 0.0
+                else np.zeros(dim))[na:]
+    return omega, rocof_max, np.abs(omega).max(axis=1), omega_ss, np.arange(steps + 1) * dt
+
+
+def _grid50_ss():
+    spec = random_connected_spec(np.random.default_rng(50), 50)
+    net = vt.reduce_network(spec)
+    params = vt.DeviceParams(
+        m_hat=[b.m_hat for b in spec.buses], d_hat=[b.d_hat for b in spec.buses],
+        m=np.zeros(50), d=np.zeros(50),
+        m_lb=np.zeros(50), m_ub=np.full(50, 3.0), d_lb=np.zeros(50), d_ub=np.full(50, 2.0),
+    )
+    return vt.assemble_state_space(net, params, ref_bus=0)
+
+
+class TestDoublingMatchesPerStepRecursion:
+    """Power doubling reproduces the per-step RK4 recursion to rounding."""
+
+    @pytest.mark.parametrize("case", [
+        ("twelve", "step", 0.1, 25.0, 1e-3),
+        ("twelve", "impulse", 1.0, 25.0, 1e-3),
+        ("twelve", "step", 0.0, 2.0, 1e-3),
+        ("twelve", "step", 0.1, 0.02, 1e-3),   # the 20-step minimum horizon
+        ("twelve", "step", -0.3, 3.7, 1e-3),   # 3700 steps, not a power of two
+        ("grid50", "step", 0.1, 40.0, 1e-3),
+    ], ids=["step", "impulse", "zero_step", "min_horizon", "odd_steps", "grid50"])
+    def test_metrics_match(self, case, twelve_net, twelve_ss):
+        grid, kind, magnitude, horizon, dt = case
+        if grid == "twelve":
+            ss, node = twelve_ss, twelve_net.index_of(6)
+        else:
+            ss, node = _grid50_ss(), 17
+        dist = Disturbance(kind, node, magnitude)
+        res = simulate(ss, dist, horizon=horizon, dt=dt)
+        omega, rocof_max, nadir, omega_ss, t = per_step_reference(ss, dist, horizon, dt)
+
+        assert np.array_equal(res.t, t)
+        for name, ref in (("omega", omega), ("rocof_max", rocof_max),
+                          ("nadir", nadir), ("omega_ss", omega_ss)):
+            got = getattr(res, name)
+            assert got.shape == ref.shape, name
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+        band = 0.02 * np.maximum(np.abs(omega_ss), nadir)
+        settle = [vt.simulator._settle_time(t, np.abs(omega[i] - omega_ss[i]), band[i])
+                  for i in range(ss.n_machines)]
+        finite = np.isfinite(settle)
+        assert np.array_equal(np.isfinite(res.settle_time), finite)
+        assert np.abs(res.settle_time[finite] - np.asarray(settle)[finite]).max(
+            initial=0.0) <= 1e-9
+
+        if kind == "impulse" or magnitude == 0.0:
+            assert np.all(res.omega_ss == 0.0)
+            assert not np.signbit(res.omega_ss).any()
+
+
 class TestSimulateValidation:
     def test_rejects_bad_dt(self, twelve_ss):
         with pytest.raises(vt.ValidationError, match="dt"):
@@ -123,6 +210,13 @@ class TestSimulateValidation:
     def test_rejects_short_horizon(self, twelve_ss):
         with pytest.raises(vt.ValidationError, match="horizon"):
             simulate(twelve_ss, Disturbance("step", 0, 0.1), horizon=0.01, dt=1e-3)
+
+    @pytest.mark.parametrize("horizon,dt", [
+        (1.0, np.nan), (np.nan, 1e-3), (np.inf, 1e-3), (1.0, np.inf), (-np.inf, 1e-3),
+    ])
+    def test_rejects_non_finite_dt_or_horizon(self, twelve_ss, horizon, dt):
+        with pytest.raises(vt.ValidationError, match="finite"):
+            simulate(twelve_ss, Disturbance("step", 0, 0.1), horizon=horizon, dt=dt)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(vt.ValidationError, match="kind"):
@@ -194,6 +288,16 @@ class TestCompareDesigns:
                 [("a", twelve_params), ("a", twelve_params)],
                 Disturbance("step", 0, 0.1),
             )
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(vt.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import vsmtune, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_import_does_not_load_scipy_integrate():
