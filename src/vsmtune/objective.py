@@ -17,16 +17,22 @@ Each coefficient perturbs the matrices in a rank-structured way (one
 omega-row of ``A``, one diagonal entry of ``B B^T`` and ``C^T C``), so
 all 2n partials reduce to O(n) cheap contractions of ``P Q`` instead of
 2n extra Lyapunov solves.
+
+``eval_objective`` factors ``A`` once and solves for ``P``, which gives J.
+``Q`` and the gradient are solved from the same Schur factors when one of
+them is first read, so a caller that only compares values (a rejected
+line-search trial) pays one factorization and one triangular solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .lyapunov import solve_lyapunov
+from .lyapunov import schur_factor, solve_factored, solve_lyapunov
 from .netmodel import DeviceParams, ReducedNetwork, StateSpace, assemble_state_space
 
 
@@ -52,15 +58,39 @@ class ObjectiveConfig:
 
 @dataclass(frozen=True)
 class ObjectiveEval:
-    """One objective evaluation: value split, gradient, and gramians."""
+    """One objective evaluation: value split, gradient, and gramians.
+
+    ``J_*`` and ``P`` are computed on construction; ``Q``, ``grad_m`` and
+    ``grad_d`` on first read, from the Schur factors ``(T, U)`` of
+    ``ss.A``, and are then cached.
+    """
 
     J_h2: float
     J_reg: float
     J_total: float
-    grad_m: np.ndarray
-    grad_d: np.ndarray
     P: np.ndarray
-    Q: np.ndarray
+    ss: StateSpace = field(repr=False)
+    params: DeviceParams = field(repr=False)
+    beta: float = field(repr=False)
+    T: np.ndarray = field(repr=False)
+    U: np.ndarray = field(repr=False)
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        return solve_factored(self.T, self.U, self.ss.C.T @ self.ss.C, dual=True)
+
+    @cached_property
+    def _grad(self) -> tuple[np.ndarray, np.ndarray]:
+        grad_m, grad_d = grad_h2(self.ss, self.params, P=self.P, Q=self.Q)
+        return grad_m + 2.0 * self.beta * self.params.m, grad_d
+
+    @property
+    def grad_m(self) -> np.ndarray:
+        return self._grad[0]
+
+    @property
+    def grad_d(self) -> np.ndarray:
+        return self._grad[1]
 
 
 def gramians(ss: StateSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -110,21 +140,26 @@ def eval_objective(
     net: ReducedNetwork,
     ref_bus: int,
 ) -> ObjectiveEval:
-    """Assemble the realization and evaluate value plus gradient."""
+    """Assemble the realization and evaluate the value; the gradient follows on first read.
+
+    Raises ``StabilityError`` here, from the factorization, when the
+    realization is not Hurwitz.
+    """
     ss = assemble_state_space(net, params, ref_bus, eta=cfg.eta)
-    P, Q = gramians(ss)
+    T, U = schur_factor(ss.A)
+    P = solve_factored(T, U, ss.B @ ss.B.T)
     J_h2 = float(np.trace(ss.C @ P @ ss.C.T))
     J_reg = float(cfg.beta * np.dot(params.m, params.m))
-    grad_m, grad_d = grad_h2(ss, params, P=P, Q=Q)
-    grad_m = grad_m + 2.0 * cfg.beta * params.m
     return ObjectiveEval(
         J_h2=J_h2,
         J_reg=J_reg,
         J_total=J_h2 + J_reg,
-        grad_m=grad_m,
-        grad_d=grad_d,
         P=P,
-        Q=Q,
+        ss=ss,
+        params=params,
+        beta=cfg.beta,
+        T=T,
+        U=U,
     )
 
 

@@ -6,8 +6,10 @@ Iterates ``alpha <- Proj[alpha - gamma * grad J(alpha)]`` where
 Barzilai-Borwein step ``s's / s'y`` from the last accepted step ``s`` and
 gradient change ``y``; an Armijo line search along the projection arc
 halves it until J decreases enough, and rejects trials whose dynamics
-are not Hurwitz. Each trial is a full objective evaluation, so the
-accepted one already carries the gradient for the next iteration.
+are not Hurwitz. A trial costs one Schur factorization and one triangular
+solve, which give J; only the accepted trial's gradient is read, so only
+it solves the dual gramian from the same factors, and that gradient
+serves the next iteration.
 Convergence is judged on the unit-step projected-gradient (KKT) residual
 rather than the raw gradient norm, since optima routinely sit on the
 box boundary.
@@ -52,8 +54,8 @@ class DescentConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be at least 1")
-        if not self.grad_tol > 0:
-            raise ConfigurationError("grad_tol must be positive")
+        if not 0 < self.grad_tol < np.inf:
+            raise ConfigurationError("grad_tol must be positive and finite")
 
 
 @dataclass(frozen=True)

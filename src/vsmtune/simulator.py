@@ -124,7 +124,8 @@ def simulate(
     A step is applied as a constant input from t = 0; an impulse is
     realized as the initial condition ``x(0) = B e_node * magnitude``.
     Requires a Hurwitz ``ss.A``; ``dt`` and ``horizon`` must be finite,
-    and ``horizon`` must cover at least 20 steps of size ``dt``.
+    ``horizon`` must cover at least 20 steps of size ``dt``, and the
+    ``horizon / dt + 1`` samples of the state must fit in memory.
     """
     if not (np.isfinite(dt) and np.isfinite(horizon)):
         raise ValidationError(f"dt and horizon must be finite, got dt={dt}, horizon={horizon}")
@@ -169,9 +170,15 @@ def simulate(
     # keep omega_ss at +0.0 for impulses and zero-magnitude steps.
     x_eq = np.linalg.solve(A, -bu) if bu.any() else np.zeros(dim)
 
-    steps = int(round(horizon / dt))
+    try:
+        steps = int(round(horizon / dt))
+        xs = np.empty((steps + 1, dim))
+    except (OverflowError, MemoryError, ValueError) as exc:
+        raise ValidationError(
+            f"horizon/dt asks for {horizon / dt + 1:.6g} samples of {dim} states, "
+            "more than can be allocated"
+        ) from exc
     t = np.arange(steps + 1) * dt
-    xs = np.empty((steps + 1, dim))
     xs[0] = x0 - x_eq
     _fill_by_doubling(xs, _rk4_step_map(A, dt))
     xs += x_eq

@@ -140,6 +140,11 @@ class TestOptimize:
     def test_bad_bounds_exit_2(self, tmp_path):
         assert run("optimize", "--bounds", "1,2,3", "--out", tmp_path) == 2
 
+    def test_infinite_grad_tol_exit_2(self, tmp_path, capsys):
+        assert run("optimize", "--grad-tol", "inf", "--out", tmp_path) == 2
+        assert "grad_tol" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
     def test_non_numeric_seed_point_exit_2(self, tmp_path, capsys):
         assert run("optimize", "--seed-point", "abc", "--out", tmp_path) == 2
         assert "--seed-point" in capsys.readouterr().err
@@ -230,6 +235,12 @@ class TestSimulate:
     def test_non_finite_dt_or_horizon_exit_2(self, flag, value, tmp_path, capsys):
         assert run("simulate", "--disturb-node", 1, flag, value, "--out", tmp_path) == 2
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("horizon", ["1e13", "1e300"])
+    def test_horizon_beyond_memory_exit_2(self, horizon, tmp_path, capsys):
+        assert run("simulate", "--disturb-node", 1, "--horizon", horizon, "--out", tmp_path) == 2
+        assert "samples" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
     def test_numpy_only_commands_leave_scipy_linalg_unloaded(self, tmp_path, twelve_params):

@@ -5,6 +5,7 @@ from scipy import linalg
 
 import vsmtune as vt
 from vsmtune import StabilityError, is_hurwitz, solve_lyapunov
+from vsmtune.lyapunov import LEAF, _solve_triangular, solve_factored
 
 from conftest import random_connected_spec, random_stable_system
 
@@ -191,24 +192,115 @@ class TestSolveLyapunovPair:
             solve_lyapunov(-np.eye(2), np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_sylvester_scale_and_info(self, monkeypatch):
-        A, B, C = random_stable_system(np.random.default_rng(2), 6)
-        W, W_dual = B @ B.T, C.T @ C
-        X_ref, Y_ref = solve_lyapunov(A, W, W_dual)
+        # Six states make one dtrsyl leaf; 2 * LEAF + 1 states make several,
+        # each scaled by its own factor, so every leaf must divide out its own.
         dtrsyl = linalg.lapack.dtrsyl
+        for dim in (6, 2 * LEAF + 1):
+            monkeypatch.setattr(linalg.lapack, "dtrsyl", dtrsyl)
+            A, B, C = random_stable_system(np.random.default_rng(2), dim)
+            W, W_dual = B @ B.T, C.T @ C
+            X_ref, Y_ref = solve_lyapunov(A, W, W_dual)
+            calls = []
 
-        def scaled(*args, **kwargs):
-            # dtrsyl returns scale * solution when it rescales to avoid overflow.
-            x, _, info = dtrsyl(*args, **kwargs)
-            return 0.25 * x, 0.25, info
+            def scaled(*args, **kwargs):
+                # dtrsyl returns scale * solution when it rescales to avoid overflow.
+                x, _, info = dtrsyl(*args, **kwargs)
+                scale = 0.5 ** (len(calls) % 3 + 1)
+                calls.append(scale)
+                return scale * x, scale, info
 
-        monkeypatch.setattr(linalg.lapack, "dtrsyl", scaled)
+            monkeypatch.setattr(linalg.lapack, "dtrsyl", scaled)
+            X, Y = solve_lyapunov(A, W, W_dual)
+            assert rel_diff(X, X_ref) <= 1e-14 and rel_diff(Y, Y_ref) <= 1e-14
+            assert len(calls) == 2 if dim <= LEAF else len(set(calls)) == 3
+
+            leaves = []
+
+            def perturbed(*args, **kwargs):
+                leaves.append(None)
+                return (*dtrsyl(*args, **kwargs)[:2], 1)
+
+            monkeypatch.setattr(linalg.lapack, "dtrsyl", perturbed)
+            with pytest.warns(RuntimeWarning, match="perturbed") as record:
+                solve_lyapunov(A, W)
+            assert len(leaves) == 1 if dim <= LEAF else len(leaves) > 2
+            assert len(record) == 1
+
+            monkeypatch.setattr(linalg.lapack, "dtrsyl", lambda *a, **k: (*dtrsyl(*a, **k)[:2], -3))
+            with pytest.raises(ValueError, match="illegal value in argument 3"):
+                solve_lyapunov(A, W)
+
+
+def pair_cut_schur_form(rng, n):
+    """Quasi-upper-triangular T, mostly 2x2 blocks, with a complex pair at every cut.
+
+    The blocked solver splits a range of more than ``LEAF`` rows at its
+    midpoint ``c`` and moves the cut to ``c + 1`` when rows ``c - 1, c``
+    form a 2x2 block. A pair is placed on each midpoint that the primal
+    recursion meets (the dual one runs on the index-reversed form and meets
+    most of them), then the free rows are filled with pairs where two fit,
+    and 1x1 blocks elsewhere.
+    """
+    starts = set()
+
+    def place(lo, hi):
+        if hi - lo <= LEAF:
+            return
+        c = lo + (hi - lo) // 2
+        starts.add(c - 1)
+        place(lo, c + 1)
+        place(c + 1, hi)
+
+    place(0, n)
+    taken = {i for s in starts for i in (s, s + 1)}
+    for i in range(n - 1):
+        if i not in taken and i + 1 not in taken:
+            starts.add(i)
+            taken |= {i, i + 1}
+    # Off-diagonal entries of order 1/n keep T close enough to normal that
+    # the solution, and so the 1e-12 comparison, stays well conditioned.
+    T = np.triu(rng.standard_normal((n, n)), 1) / n
+    for i in range(n):
+        T[i, i] = -0.5 - rng.random()
+    for s in starts:
+        re, b, c = -0.3 - rng.random(), 0.5 + rng.random(), 0.5 + rng.random()
+        T[s:s + 2, s:s + 2] = [[re, b], [-c, re]]
+    return T, sorted(starts)
+
+
+class TestBlockedTriangularSolve:
+    """The recursive blocked solve against scipy's unblocked Bartels-Stewart solver."""
+
+    @pytest.mark.parametrize("dim", [1, LEAF, LEAF + 1, 2 * LEAF + 1, 401])
+    def test_random_systems_match_scipy(self, dim):
+        A, B, C = random_stable_system(np.random.default_rng(dim), dim)
+        W, W_dual = B @ B.T, C.T @ C
         X, Y = solve_lyapunov(A, W, W_dual)
-        assert rel_diff(X, X_ref) <= 1e-14 and rel_diff(Y, Y_ref) <= 1e-14
+        assert rel_diff(X, linalg.solve_continuous_lyapunov(A, -W)) <= 1e-12
+        assert rel_diff(Y, linalg.solve_continuous_lyapunov(A.T, -W_dual)) <= 1e-12
+        assert residual(A, X, W) <= 1e-8 * max(1.0, np.linalg.norm(W, "fro"))
+        assert residual(A.T, Y, W_dual) <= 1e-8 * max(1.0, np.linalg.norm(W_dual, "fro"))
 
-        monkeypatch.setattr(linalg.lapack, "dtrsyl", lambda *a, **k: (*dtrsyl(*a, **k)[:2], 1))
-        with pytest.warns(RuntimeWarning, match="perturbed"):
-            solve_lyapunov(A, W)
+    @pytest.mark.parametrize("dim", [2 * LEAF + 2, 4 * LEAF + 3])
+    def test_complex_pair_at_every_cut(self, dim):
+        rng = np.random.default_rng(dim)
+        T, starts = pair_cut_schur_form(rng, dim)
+        mid = dim // 2
+        assert mid - 1 in starts
+        assert 2 * len(starts) >= 0.9 * dim
+        B = rng.standard_normal((dim, 3))
+        W = B @ B.T
+        identity = np.eye(dim)
+        X = solve_factored(T, identity, W)
+        Y = solve_factored(T, identity, W, dual=True)
+        assert rel_diff(X, linalg.solve_continuous_lyapunov(T, -W)) <= 1e-12
+        assert rel_diff(Y, linalg.solve_continuous_lyapunov(T.T, -W)) <= 1e-12
+        assert residual(T, X, W) <= 1e-8 * max(1.0, np.linalg.norm(W, "fro"))
+        assert residual(T.T, Y, W) <= 1e-8 * max(1.0, np.linalg.norm(W, "fro"))
 
-        monkeypatch.setattr(linalg.lapack, "dtrsyl", lambda *a, **k: (*dtrsyl(*a, **k)[:2], -3))
-        with pytest.raises(ValueError, match="illegal value in argument 3"):
-            solve_lyapunov(A, W)
+    def test_triangular_solve_is_symmetric(self):
+        T, _ = pair_cut_schur_form(np.random.default_rng(3), 3 * LEAF)
+        F = np.random.default_rng(4).standard_normal(T.shape)
+        X, perturbed = _solve_triangular(T, F + F.T)
+        assert not perturbed
+        assert np.linalg.norm(X - X.T) <= 1e-12 * np.linalg.norm(X)

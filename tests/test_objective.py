@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vsmtune as vt
 from vsmtune import ObjectiveConfig, StateSpace
 
-from conftest import single_machine
+from conftest import random_connected_spec, single_machine
 
 
 def finite_difference_gradient(params, cfg, net, ref_bus):
@@ -207,6 +208,57 @@ class TestEvalObjective:
             )
             assert J_chan <= J_full + 1e-12
 
+    @pytest.mark.parametrize("known_location", [False, True])
+    def test_lazy_dual_matches_eager_gramians(self, twelve_net, twelve_params, known_location):
+        eta = np.random.default_rng(8).random(twelve_net.n) if known_location else None
+        cfg = ObjectiveConfig(beta=0.3, eta=eta)
+        p = interior_point(twelve_params, np.random.default_rng(9))
+        ev = vt.eval_objective(p, cfg, twelve_net, 2)
+        ss = vt.assemble_state_space(twelve_net, p, 2, eta=eta)
+        P, Q = vt.gramians(ss)
+        grad_m, grad_d = vt.grad_h2(ss, p, P=P, Q=Q)
+        grad_m = grad_m + 2.0 * cfg.beta * p.m
+        assert np.max(np.abs(ev.P - P)) <= 1e-13 * np.max(np.abs(P))
+        assert np.max(np.abs(ev.Q - Q)) <= 1e-13 * np.max(np.abs(Q))
+        assert np.max(np.abs(ev.grad_m - grad_m)) <= 1e-13 * np.max(np.abs(grad_m))
+        assert np.max(np.abs(ev.grad_d - grad_d)) <= 1e-13 * np.max(np.abs(grad_d))
+
     def test_beta_must_be_finite(self):
         with pytest.raises(vt.ConfigurationError, match="finite"):
             ObjectiveConfig(beta=np.inf)
+
+
+class TestUniformRatioOracle:
+    """Closed forms that hold on any connected grid when every ``D_i / M_i = lam``.
+
+    An impulse at bus j starts with kinetic energy ``1 / (2 M_j)``, and all
+    of it is dissipated as ``integral omega^T D omega = lam integral omega^T
+    M omega``, so the all-channels H2 norm is ``sum_i 1 / (2 D_i)`` whatever
+    the Laplacian (Poolla, Bolognani and Doerfler, IEEE TAC 2017). Moving
+    along ``(dm, lam dm)`` keeps the ratio, so the directional derivative is
+    that of the closed form, ``-sum_i lam dm_i / (2 D_i^2)``.
+    """
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=200),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.05, max_value=5.0),
+    )
+    def test_value_and_directional_derivative(self, n_buses, seed, lam):
+        rng = np.random.default_rng(seed)
+        net = vt.reduce_network(random_connected_spec(rng, n_buses, n_loads=n_buses // 10))
+        n = net.n
+        D = 0.2 + rng.random(n)
+        params = vt.DeviceParams(
+            m_hat=D / lam, d_hat=D, m=np.zeros(n), d=np.zeros(n),
+            m_lb=np.zeros(n), m_ub=np.ones(n), d_lb=np.zeros(n), d_ub=np.ones(n),
+        )
+        ev = vt.eval_objective(params, ObjectiveConfig(), net, int(rng.integers(n)))
+        J_closed = float(np.sum(1.0 / (2.0 * D)))
+        assert abs(ev.J_h2 - J_closed) <= 1e-12 * J_closed
+
+        dm = rng.random(n)
+        slope = float(ev.grad_m @ dm + ev.grad_d @ (lam * dm))
+        slope_closed = -float(np.sum(lam * dm / (2.0 * D**2)))
+        assert abs(slope - slope_closed) <= 1e-12 * abs(slope_closed)

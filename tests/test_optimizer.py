@@ -4,10 +4,11 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import vsmtune as vt
+import vsmtune.objective as objective_module
 import vsmtune.optimizer as optimizer_module
 from vsmtune import DescentConfig, ObjectiveConfig, TerminationReason, optimize, project
 
-from conftest import single_machine
+from conftest import random_connected_spec, single_machine
 
 
 class TestProject:
@@ -51,6 +52,7 @@ class TestDescentConfig:
             {"grad_tol": float("-inf")},
             {"max_iter": 0},
             {"grad_tol": 0.0},
+            {"grad_tol": float("inf")},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -185,6 +187,46 @@ class TestEvaluationCost:
         assert counts["eval"] >= res.iterations + 1
         assert counts["schur"] == counts["eval"]
         assert counts["eigvals"] == 0
+
+
+class TestLazyDualSolve:
+    def test_dual_solved_only_for_gradients_read(self, monkeypatch):
+        # A 30-generator grid whose line search rejects trials: each
+        # evaluation factors once, but only the start point and accepted
+        # trials solve the dual equation.
+        spec = random_connected_spec(np.random.default_rng(0), 30)
+        net = vt.reduce_network(spec)
+        n = net.n
+        params = vt.DeviceParams(
+            m_hat=[b.m_hat for b in spec.buses], d_hat=[b.d_hat for b in spec.buses],
+            m=np.zeros(n), d=np.zeros(n),
+            m_lb=np.zeros(n), m_ub=np.full(n, 3.0), d_lb=np.zeros(n), d_ub=np.full(n, 2.0),
+        )
+        counts = {"schur": 0, "eval": 0, "dual": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        solve_factored = objective_module.solve_factored
+
+        def counting_dual(T, U, W, dual=False):
+            counts["dual"] += dual
+            return solve_factored(T, U, W, dual=dual)
+
+        for module in (scipy.linalg, scipy.linalg._solvers):
+            monkeypatch.setattr(module, "schur", counting("schur", module.schur))
+        monkeypatch.setattr(
+            optimizer_module, "eval_objective", counting("eval", optimizer_module.eval_objective)
+        )
+        monkeypatch.setattr(objective_module, "solve_factored", counting_dual)
+        res = optimize(net, params, ObjectiveConfig(), DescentConfig())
+        assert res.converged
+        assert counts["eval"] > res.iterations + 1
+        assert counts["schur"] == counts["eval"]
+        assert counts["dual"] == res.iterations + 1
 
 
 class TestObservedProperties:

@@ -218,6 +218,14 @@ class TestSimulateValidation:
         with pytest.raises(vt.ValidationError, match="finite"):
             simulate(twelve_ss, Disturbance("step", 0, 0.1), horizon=horizon, dt=dt)
 
+    @pytest.mark.parametrize("horizon", [1e13, 1e300], ids=["1e13", "1e300"])
+    def test_rejects_horizon_beyond_memory(self, twelve_ss, horizon):
+        # The state arrays (1.4e18 and 1.4e306 bytes) exceed the address
+        # space of any 64-bit machine, so allocation fails before any
+        # memory is touched.
+        with pytest.raises(vt.ValidationError, match="samples"):
+            simulate(twelve_ss, Disturbance("step", 0, 0.1), horizon=horizon, dt=1e-3)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(vt.ValidationError, match="kind"):
             Disturbance("ramp", 0, 0.1)
