@@ -49,6 +49,35 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _convert(value, kind, key: str, context: str):
+    """``kind(value)``, or a ValidationError naming the entry and the key.
+
+    A fractional number given for an ``int`` is rejected, not truncated.
+    """
+    try:
+        converted = kind(value)
+        if kind is int and isinstance(value, float) and converted != value:
+            raise ValueError(value)
+        return converted
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{context}: {key!r} must be {noun}, got {value!r}") from None
+
+
+def _entries(doc: dict, key: str, noun: str) -> list[dict]:
+    entries = _require(doc, key, "network document")
+    if not isinstance(entries, list):
+        raise ValidationError(f"network document: {key!r} must be a list, got {entries!r}")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{noun} entry {k}: must be a JSON object, got {entry!r}")
+    return entries
+
+
+def _bounds(mapping: dict, context: str) -> dict[str, float]:
+    return {k: _convert(mapping[k], float, k, context) for k in DEFAULT_BOUNDS if k in mapping}
+
+
 def parse_network(doc: dict) -> NetworkDocument:
     """Build a validated NetworkDocument from a decoded JSON object."""
     if not isinstance(doc, dict):
@@ -56,28 +85,31 @@ def parse_network(doc: dict) -> NetworkDocument:
 
     buses = []
     bus_bounds: dict[int, dict[str, float]] = {}
-    for raw in _require(doc, "buses", "network document"):
-        bus_id = int(_require(raw, "id", "bus entry"))
-        kind = str(_require(raw, "kind", f"bus {bus_id}"))
+    for k, raw in enumerate(_entries(doc, "buses", "bus")):
+        entry = f"bus entry {k}"
+        bus_id = _convert(_require(raw, "id", entry), int, "id", entry)
+        context = f"bus {bus_id}"
+        kind = str(_require(raw, "kind", context))
         buses.append(
             Bus(
                 id=bus_id,
                 kind=kind,
-                m_hat=float(raw.get("m_hat", 0.0)),
-                d_hat=float(raw.get("d_hat", 0.0)),
+                m_hat=_convert(raw.get("m_hat", 0.0), float, "m_hat", context),
+                d_hat=_convert(raw.get("d_hat", 0.0), float, "d_hat", context),
             )
         )
-        overrides = {k: float(raw[k]) for k in DEFAULT_BOUNDS if k in raw}
+        overrides = _bounds(raw, context)
         if overrides:
             bus_bounds[bus_id] = overrides
 
     lines = []
-    for raw in _require(doc, "lines", "network document"):
+    for k, raw in enumerate(_entries(doc, "lines", "line")):
+        context = f"line entry {k}"
         lines.append(
             Line(
-                from_bus=int(_require(raw, "from", "line entry")),
-                to_bus=int(_require(raw, "to", "line entry")),
-                b=float(_require(raw, "b", "line entry")),
+                from_bus=_convert(_require(raw, "from", context), int, "from", context),
+                to_bus=_convert(_require(raw, "to", context), int, "to", context),
+                b=_convert(_require(raw, "b", context), float, "b", context),
             )
         )
 
@@ -85,10 +117,14 @@ def parse_network(doc: dict) -> NetworkDocument:
     validate_network(spec)
 
     raw_defaults = doc.get("defaults", {})
-    defaults = {k: float(raw_defaults.get(k, v)) for k, v in DEFAULT_BOUNDS.items()}
+    if not isinstance(raw_defaults, dict):
+        raise ValidationError(
+            f"network document: 'defaults' must be a JSON object, got {raw_defaults!r}"
+        )
+    defaults = {**DEFAULT_BOUNDS, **_bounds(raw_defaults, "defaults")}
     ref_bus = raw_defaults.get("ref_bus")
     if ref_bus is not None:
-        ref_bus = int(ref_bus)
+        ref_bus = _convert(ref_bus, int, "ref_bus", "defaults")
         if ref_bus not in spec.generator_ids:
             raise ValidationError(f"defaults.ref_bus {ref_bus} is not a generator bus")
     return NetworkDocument(spec=spec, defaults=defaults, bus_bounds=bus_bounds, ref_bus=ref_bus)

@@ -66,6 +66,19 @@ class TestReduce:
         err = capsys.readouterr().err
         assert "line (1, 5)" in err
 
+    def test_malformed_value_exit_2(self, tmp_path, capsys):
+        doc = {
+            "buses": [
+                {"id": 1, "kind": "generator", "m_hat": 1.0, "d_hat": 1.0},
+                {"id": 2, "kind": "generator", "m_hat": "x", "d_hat": 1.0},
+            ],
+            "lines": [{"from": 1, "to": 2, "b": 1.0}],
+        }
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert run("reduce", "--network", path, "--out", tmp_path / "out") == 2
+        assert "bus 2: 'm_hat' must be a number" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert run("reduce", "--network", tmp_path / "ghost.json", "--out", tmp_path) == 2
 
@@ -301,6 +314,25 @@ class TestTrajectoryWriter:
         ]
 
 
+    @pytest.mark.parametrize("n_rows", [
+        1, cli.TRAJECTORY_BLOCK - 1, cli.TRAJECTORY_BLOCK, cli.TRAJECTORY_BLOCK + 1,
+        2 * cli.TRAJECTORY_BLOCK + 1,
+    ])
+    def test_block_boundaries_match_per_value_writer(self, n_rows, tmp_path):
+        rng = np.random.default_rng(n_rows)
+        omega = rng.standard_normal((2, n_rows)) * 1e-3
+        omega[1, ::7] = -0.0
+        result = vt.SimResult(
+            t=np.arange(n_rows) * 1e-3, omega=omega, rocof_max=np.zeros(2), nadir=np.zeros(2),
+            settle_time=np.zeros(2), omega_ss=np.zeros(2), settle_band=np.zeros(2),
+        )
+        self.per_value_reference(tmp_path / "reference.csv", (2, 9), result)
+        cli._write_trajectory(tmp_path / "trajectory.csv", (2, 9), result)
+        written = (tmp_path / "trajectory.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert written.count(b"\r\n") == n_rows + 1
+
+
 class TestCompare:
     def test_three_variants_written(self, tmp_path):
         assert run(
@@ -389,6 +421,26 @@ class TestErrorMapping:
 
         monkeypatch.setitem(cli.COMMANDS, "reduce", boom)
         assert run("reduce", "--out", tmp_path) == 1
+
+    @pytest.mark.parametrize("command", [["reduce"], ["optimize"]])
+    def test_out_naming_a_file_exit_2(self, command, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("optimize() ran before --out was checked")
+
+        monkeypatch.setattr(cli, "optimize", never)
+        target = tmp_path / "taken"
+        target.write_text("keep")
+        assert run(*command, "--out", target) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert target.read_text() == "keep"
+
+    def test_unwritable_output_exit_1(self, tmp_path, monkeypatch, capsys):
+        def denied(path, header, rows):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "_write_csv", denied)
+        assert run("reduce", "--out", tmp_path) == 1
+        assert "error: [Errno 13] Permission denied" in capsys.readouterr().err
 
     def test_network_flag_default_is_bundled(self):
         cfg = cli._config_from_args(cli.build_parser().parse_args(["reduce"]))

@@ -118,3 +118,47 @@ class TestDeviceParams:
         for i, gid in enumerate(twelve_net.gen_ids):
             assert params.m_hat[i] == by_id[gid].m_hat
             assert params.d_hat[i] == by_id[gid].d_hat
+
+
+def _two_bus_doc():
+    return {
+        "defaults": {"m_ub": 2.0},
+        "buses": [
+            {"id": 1, "kind": "generator", "m_hat": 1.0, "d_hat": 0.5},
+            {"id": 2, "kind": "generator", "m_hat": 1.0, "d_hat": 0.5},
+        ],
+        "lines": [{"from": 1, "to": 2, "b": 1.0}],
+    }
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda d: d["buses"][0].update(id="abc"),
+                     r"bus entry 0: 'id' must be an integer, got 'abc'", id="bus-id"),
+        pytest.param(lambda d: d["buses"][1].update(id=2.5),
+                     r"bus entry 1: 'id' must be an integer, got 2\.5", id="bus-id-fraction"),
+        pytest.param(lambda d: d["buses"][1].update(m_hat="x"),
+                     r"bus 2: 'm_hat' must be a number, got 'x'", id="bus-m_hat"),
+        pytest.param(lambda d: d["buses"][0].update(m_ub="x"),
+                     r"bus 1: 'm_ub' must be a number", id="bus-m_ub"),
+        pytest.param(lambda d: d["lines"][0].update(b="x"),
+                     r"line entry 0: 'b' must be a number", id="line-b"),
+        pytest.param(lambda d: d["lines"][0].update({"from": "x"}),
+                     r"line entry 0: 'from' must be an integer", id="line-from"),
+        pytest.param(lambda d: d["defaults"].update(m_ub="x"),
+                     r"defaults: 'm_ub' must be a number", id="defaults-m_ub"),
+        pytest.param(lambda d: d["defaults"].update(ref_bus="x"),
+                     r"defaults: 'ref_bus' must be an integer", id="defaults-ref_bus"),
+        pytest.param(lambda d: d.update(buses=5),
+                     r"'buses' must be a list, got 5", id="buses-not-list"),
+        pytest.param(lambda d: d.update(lines=[3]),
+                     r"line entry 0: must be a JSON object", id="line-not-object"),
+        pytest.param(lambda d: d.update(defaults=[]),
+                     r"'defaults' must be a JSON object", id="defaults-not-object"),
+    ])
+    def test_names_entry_and_key(self, edit, message):
+        doc = _two_bus_doc()
+        parse_network(doc)
+        edit(doc)
+        with pytest.raises(vt.ValidationError, match=message):
+            parse_network(doc)
