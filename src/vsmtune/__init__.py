@@ -40,8 +40,6 @@ from .objective import (
     ObjectiveEval,
     eval_objective,
     grad_h2,
-    gramians,
-    h2_norm_sq,
     objective_value,
 )
 from .optimizer import DescentConfig, OptResult, TerminationReason, optimize, project
@@ -76,8 +74,6 @@ __all__ = [
     "device_params",
     "eval_objective",
     "grad_h2",
-    "gramians",
-    "h2_norm_sq",
     "is_hurwitz",
     "kron_reduce",
     "load_network",

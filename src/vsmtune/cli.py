@@ -461,8 +461,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         ref_bus=args.ref_bus,
         bounds=_parse_bounds(args.bounds) if args.bounds else None,
     )
-    if cfg.output_dir.exists() and not cfg.output_dir.is_dir():
-        raise ConfigurationError(f"--out {cfg.output_dir} exists and is not a directory")
+    # The mkdir after the run fails unless the nearest existing ancestor of --out is a directory.
+    ancestor = cfg.output_dir
+    while not ancestor.exists() and ancestor != ancestor.parent:
+        ancestor = ancestor.parent
+    if ancestor.exists() and not ancestor.is_dir():
+        raise ConfigurationError(f"--out {cfg.output_dir}: {ancestor} exists and is not a directory")
     for name in ("beta", "max_iter", "grad_tol", "seed_point",
                  "disturb_node", "disturb_kind", "magnitude", "horizon", "dt",
                  "known_location"):

@@ -49,6 +49,7 @@ def _as_square(mat: np.ndarray, name: str) -> np.ndarray:
     return mat
 
 
+# No package code calls is_hurwitz; it stays because perfbench/traced.py wraps it by name.
 def is_hurwitz(A: np.ndarray) -> tuple[bool, float]:
     """Check asymptotic stability of ``A``.
 

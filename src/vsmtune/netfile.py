@@ -15,6 +15,7 @@ Networks are described by a JSON document with three top-level keys:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -52,16 +53,18 @@ def _require(mapping: dict, key: str, context: str):
 def _convert(value, kind, key: str, context: str):
     """``kind(value)``, or a ValidationError naming the entry and the key.
 
-    A fractional number given for an ``int`` is rejected, not truncated.
+    A fractional number given for an ``int`` is rejected, not truncated; so is a non-finite float.
     """
     try:
         converted = kind(value)
         if kind is int and isinstance(value, float) and converted != value:
             raise ValueError(value)
-        return converted
     except (TypeError, ValueError, OverflowError):
         noun = "an integer" if kind is int else "a number"
         raise ValidationError(f"{context}: {key!r} must be {noun}, got {value!r}") from None
+    if kind is float and not math.isfinite(converted):
+        raise ValidationError(f"{context}: {key!r} must be a finite number, got {value!r}")
+    return converted
 
 
 def _entries(doc: dict, key: str, noun: str) -> list[dict]:

@@ -18,10 +18,11 @@ omega-row of ``A``, one diagonal entry of ``B B^T`` and ``C^T C``), so
 all 2n partials reduce to O(n) cheap contractions of ``P Q`` instead of
 2n extra Lyapunov solves.
 
-``eval_objective`` factors ``A`` once and solves for ``P``, which gives J.
-``Q`` and the gradient are solved from the same Schur factors when one of
-them is first read, so a caller that only compares values (a rejected
-line-search trial) pays one factorization and one triangular solve.
+``eval_objective`` is the one evaluator: it factors ``A`` once and solves
+for ``P``, which gives J. ``Q`` and the gradient are solved from the same
+Schur factors when one of them is first read, so a caller that only
+compares values (a rejected line-search trial) pays one factorization
+and one triangular solve.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .lyapunov import schur_factor, solve_factored, solve_lyapunov
+# solve_lyapunov is unused here but stays bound: perfbench/traced.py wraps it by name.
+from .lyapunov import schur_factor, solve_factored, solve_lyapunov  # noqa: F401
 from .netmodel import DeviceParams, ReducedNetwork, StateSpace, assemble_state_space
 
 
@@ -93,32 +95,20 @@ class ObjectiveEval:
         return self._grad[1]
 
 
-def gramians(ss: StateSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Controllability and observability gramians of ``(A, B, C)``."""
-    return solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
-
-
-def h2_norm_sq(ss: StateSpace) -> float:
-    """Squared H2 norm ``trace(C P C^T)`` of the realization."""
-    P = solve_lyapunov(ss.A, ss.B @ ss.B.T)
-    return float(np.trace(ss.C @ P @ ss.C.T))
-
-
 def grad_h2(
     ss: StateSpace,
     params: DeviceParams,
-    P: np.ndarray | None = None,
-    Q: np.ndarray | None = None,
+    P: np.ndarray,
+    Q: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact partials of the squared H2 norm w.r.t. each ``m_i`` and ``d_i``.
 
-    The omega-row of ``A`` for bus i scales with ``1/M_i``, so its
+    ``P`` and ``Q`` are the gramians of ``ss``, from the caller's Schur
+    factors. The omega-row of ``A`` for bus i scales with ``1/M_i``, so its
     m-derivative is ``-A[w_i, :] / M_i``; the d-derivative touches only
     the diagonal damping entry. ``B B^T`` and ``C^T C`` contribute the
     diagonal terms ``-2 M_i^-3`` (or the folded eta pattern) and ``+1``.
     """
-    if P is None or Q is None:
-        P, Q = gramians(ss)
     na = ss.n_machines - 1
     M = params.m_total
     # Column i of PQw is (P Q)[:, w_i] for the omega state w_i = na + i.
@@ -169,9 +159,8 @@ def objective_value(
     net: ReducedNetwork,
     ref_bus: int,
 ) -> float:
-    """Value-only evaluation (single gramian solve) for tests and finite differences.
+    """``J_total`` of ``eval_objective``: the finite-difference oracle of the tests.
 
     ``optimizer.py`` keeps it bound because ``perfbench/traced.py`` wraps it there by name.
     """
-    ss = assemble_state_space(net, params, ref_bus, eta=cfg.eta)
-    return h2_norm_sq(ss) + float(cfg.beta * np.dot(params.m, params.m))
+    return eval_objective(params, cfg, net, ref_bus).J_total

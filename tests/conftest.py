@@ -1,8 +1,22 @@
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 import vsmtune as vt
+
+# The benchmark's grid generator, loaded by file path so that nothing from
+# perfbench/ lands on sys.path; the tests draw the same networks from it.
+_NETGEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "netgen.py"
+_netgen_spec = importlib.util.spec_from_file_location("perfbench_netgen", _NETGEN_PATH)
+netgen = importlib.util.module_from_spec(_netgen_spec)
+_netgen_spec.loader.exec_module(netgen)
+
+# random_connected_spec(rng, n_buses, n_loads=0): spanning tree plus a few extra lines.
+random_connected_spec = functools.partial(netgen.random_connected_spec, vt)
 
 
 @pytest.fixture(scope="session")
@@ -54,30 +68,14 @@ def random_stable_system(rng, dim, n_in=None, n_out=None):
     return A, B, C
 
 
-def random_connected_spec(rng, n_buses, n_loads=0):
-    """Random connected NetworkSpec: spanning tree plus a few extra lines."""
-    kinds = ["generator"] * n_buses
-    for i in rng.choice(n_buses, size=n_loads, replace=False):
-        kinds[i] = "load"
-    if all(k == "load" for k in kinds):
-        kinds[0] = "generator"
-    buses = tuple(
-        vt.Bus(
-            id=i + 1,
-            kind=kinds[i],
-            m_hat=float(0.5 + 2.0 * rng.random()) if kinds[i] == "generator" else 0.0,
-            d_hat=float(0.2 + rng.random()) if kinds[i] == "generator" else 0.0,
-        )
-        for i in range(n_buses)
-    )
-    lines = []
-    order = rng.permutation(n_buses)
-    for a, b in zip(order[:-1], order[1:]):
-        lines.append(vt.Line(int(buses[a].id), int(buses[b].id), float(0.5 + 5 * rng.random())))
-    for _ in range(n_buses // 2):
-        a, b = rng.choice(n_buses, size=2, replace=False)
-        lines.append(vt.Line(int(buses[a].id), int(buses[b].id), float(0.5 + 5 * rng.random())))
-    return vt.NetworkSpec(buses=buses, lines=tuple(lines))
+def h2_value(ss):
+    """Squared H2 norm ``trace(C P C^T)`` of a realization, ``P`` from ``solve_lyapunov``.
+
+    A test oracle for hand-built ``StateSpace``s, apart from the
+    package's one evaluator ``eval_objective``.
+    """
+    P = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T)
+    return float(np.trace(ss.C @ P @ ss.C.T))
 
 
 def output_energy(result, params):

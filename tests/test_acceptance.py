@@ -23,7 +23,7 @@ from vsmtune import (
     solve_lyapunov,
 )
 
-from conftest import output_energy, random_stable_system, single_machine
+from conftest import h2_value, output_energy, random_stable_system, single_machine
 
 # Descent settings shared by the optimizer-based criteria: the library
 # default residual tolerance, verified explicitly after each run.
@@ -112,7 +112,7 @@ def test_criterion_2_trace_duality(twelve_net, twelve_params):
             assert abs(left - right) <= 1e-10 * left
 
         ss = vt.assemble_state_space(twelve_net, twelve_params, 0)
-        P, Q = vt.gramians(ss)
+        P, Q = solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
         left = float(np.trace(ss.C @ P @ ss.C.T))
         right = float(np.trace(ss.B.T @ Q @ ss.B))
         assert abs(left - right) <= 1e-10 * left
@@ -139,9 +139,10 @@ def test_criterion_4_single_machine_closed_form():
         for m_hat, d_hat, m, d in cases:
             net, params = single_machine(m_hat=m_hat, d_hat=d_hat, m=m, d=d)
             ss = vt.assemble_state_space(net, params, ref_bus=0)
-            J = vt.h2_norm_sq(ss)
+            J = h2_value(ss)
             assert abs(J - 1.0 / (2 * (d_hat + d))) <= 1e-8 * J
-            grad_m, _ = vt.grad_h2(ss, params)
+            P, Q = solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
+            grad_m, _ = vt.grad_h2(ss, params, P=P, Q=Q)
             assert abs(grad_m[0]) < 1e-8
 
 
@@ -227,7 +228,7 @@ def test_criterion_7_energy_consistency(two_bus, twelve_net, twelve_params):
     with criterion(7, "impulse energy matches the H2 channel", budget=60.0):
         net2, params2 = two_bus
         ss2 = vt.assemble_state_space(net2, params2, ref_bus=1)
-        _, Q2 = vt.gramians(ss2)
+        _, Q2 = solve_lyapunov(ss2.A, ss2.B @ ss2.B.T, ss2.C.T @ ss2.C)
         channel = float(ss2.B[:, 0] @ Q2 @ ss2.B[:, 0])
         sim2 = simulate(ss2, Disturbance("impulse", 0, 1.0), horizon=40.0, dt=1e-3)
         energy = output_energy(sim2, params2)
@@ -235,7 +236,7 @@ def test_criterion_7_energy_consistency(two_bus, twelve_net, twelve_params):
 
         node = twelve_net.index_of(6)
         ss12 = vt.assemble_state_space(twelve_net, twelve_params, 0)
-        _, Q12 = vt.gramians(ss12)
+        _, Q12 = solve_lyapunov(ss12.A, ss12.B @ ss12.B.T, ss12.C.T @ ss12.C)
         channel12 = float(ss12.B[:, node] @ Q12 @ ss12.B[:, node])
         sim12 = simulate(ss12, Disturbance("impulse", node, 1.0), horizon=40.0, dt=1e-3)
         energy12 = output_energy(sim12, twelve_params)

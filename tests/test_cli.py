@@ -79,6 +79,15 @@ class TestReduce:
         assert run("reduce", "--network", path, "--out", tmp_path / "out") == 2
         assert "bus 2: 'm_hat' must be a number" in capsys.readouterr().err
 
+    def test_non_finite_value_exit_2(self, tmp_path, capsys):
+        doc = json.loads(bundled_network_path().read_text())
+        doc["lines"][0]["b"] = float("inf")
+        path = tmp_path / "infinite.json"
+        path.write_text(json.dumps(doc))
+        assert '"b": Infinity' in path.read_text()
+        assert run("reduce", "--network", path, "--out", tmp_path / "out") == 2
+        assert "line entry 0: 'b' must be a finite number, got inf" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert run("reduce", "--network", tmp_path / "ghost.json", "--out", tmp_path) == 2
 
@@ -432,6 +441,9 @@ class TestErrorMapping:
         target.write_text("keep")
         assert run(*command, "--out", target) == 2
         assert "is not a directory" in capsys.readouterr().err
+        # Below a file: the nearest existing ancestor of --out is checked.
+        assert run(*command, "--out", target / "sub") == 2
+        assert f"{target} exists and is not a directory" in capsys.readouterr().err
         assert target.read_text() == "keep"
 
     def test_unwritable_output_exit_1(self, tmp_path, monkeypatch, capsys):

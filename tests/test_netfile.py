@@ -155,6 +155,20 @@ class TestMalformedValues:
                      r"line entry 0: must be a JSON object", id="line-not-object"),
         pytest.param(lambda d: d.update(defaults=[]),
                      r"'defaults' must be a JSON object", id="defaults-not-object"),
+        pytest.param(lambda d: d["buses"][1].update(m_hat=float("inf")),
+                     r"bus 2: 'm_hat' must be a finite number, got inf", id="bus-m_hat-inf"),
+        pytest.param(lambda d: d["buses"][0].update(d_hat=float("nan")),
+                     r"bus 1: 'd_hat' must be a finite number, got nan", id="bus-d_hat-nan"),
+        pytest.param(lambda d: d["buses"][0].update(d_ub=float("-inf")),
+                     r"bus 1: 'd_ub' must be a finite number, got -inf", id="bus-d_ub-neg-inf"),
+        pytest.param(lambda d: d["lines"][0].update(b=float("inf")),
+                     r"line entry 0: 'b' must be a finite number, got inf", id="line-b-inf"),
+        pytest.param(lambda d: d["lines"][0].update(b=float("-inf")),
+                     r"line entry 0: 'b' must be a finite number, got -inf", id="line-b-neg-inf"),
+        pytest.param(lambda d: d["defaults"].update(m_lb=float("nan")),
+                     r"defaults: 'm_lb' must be a finite number, got nan", id="defaults-m_lb-nan"),
+        pytest.param(lambda d: d["defaults"].update(m_ub=float("inf")),
+                     r"defaults: 'm_ub' must be a finite number, got inf", id="defaults-m_ub-inf"),
     ])
     def test_names_entry_and_key(self, edit, message):
         doc = _two_bus_doc()

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import vsmtune as vt
 from vsmtune import ObjectiveConfig, StateSpace
 
-from conftest import random_connected_spec, single_machine
+from conftest import h2_value, random_connected_spec, single_machine
 
 
 def finite_difference_gradient(params, cfg, net, ref_bus):
@@ -35,13 +35,13 @@ def interior_point(params, rng):
 class TestH2Norm:
     def test_scalar_first_order_system(self):
         ss = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]], ref_bus=0)
-        assert vt.h2_norm_sq(ss) == pytest.approx(0.5, rel=1e-12)
+        assert h2_value(ss) == pytest.approx(0.5, rel=1e-12)
 
     def test_duality_on_two_bus(self, two_bus):
         net, params = two_bus
         ss = vt.assemble_state_space(net, params, ref_bus=0)
-        P, Q = vt.gramians(ss)
-        direct = vt.h2_norm_sq(ss)
+        P, Q = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
+        direct = h2_value(ss)
         dual = float(np.trace(ss.B.T @ Q @ ss.B))
         assert direct == pytest.approx(dual, rel=1e-10)
 
@@ -58,18 +58,18 @@ class TestH2Norm:
             C=[[0.0, np.sqrt(mass)]],
             ref_bus=0,
         )
-        assert vt.h2_norm_sq(ss) == pytest.approx(0.5, rel=1e-10)
+        assert h2_value(ss) == pytest.approx(0.5, rel=1e-10)
 
     def test_single_machine_closed_form(self):
         for d_hat, d in [(1.0, 0.0), (0.5, 0.3), (2.0, 1.0)]:
             net, params = single_machine(m_hat=1.3, d_hat=d_hat, d=d)
             ss = vt.assemble_state_space(net, params, ref_bus=0)
-            assert vt.h2_norm_sq(ss) == pytest.approx(1.0 / (2 * (d_hat + d)), rel=1e-12)
+            assert h2_value(ss) == pytest.approx(1.0 / (2 * (d_hat + d)), rel=1e-12)
 
     def test_propagates_stability_error(self):
         ss = StateSpace(A=[[0.0]], B=[[1.0]], C=[[1.0]], ref_bus=0)
         with pytest.raises(vt.StabilityError):
-            vt.h2_norm_sq(ss)
+            h2_value(ss)
 
 
 class TestGradH2:
@@ -77,7 +77,8 @@ class TestGradH2:
         for m_hat, d_hat in [(1.0, 1.0), (2.0, 0.5), (0.7, 1.8)]:
             net, params = single_machine(m_hat=m_hat, d_hat=d_hat, m=0.4, d=0.2)
             ss = vt.assemble_state_space(net, params, ref_bus=0)
-            grad_m, grad_d = vt.grad_h2(ss, params)
+            P, Q = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
+            grad_m, grad_d = vt.grad_h2(ss, params, P=P, Q=Q)
             D = d_hat + 0.2
             assert grad_d[0] == pytest.approx(-1.0 / (2 * D**2), rel=1e-10)
             assert grad_m[0] == pytest.approx(0.0, abs=1e-12)
@@ -112,7 +113,7 @@ class TestGradH2:
         eta = np.random.default_rng(6).random(twelve_net.n) if known_location else None
         p = interior_point(twelve_params, np.random.default_rng(5))
         ss = vt.assemble_state_space(twelve_net, p, 3, eta=eta)
-        P, Q = vt.gramians(ss)
+        P, Q = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
         n, na, M = p.n, p.n - 1, p.m_total
         PQ, QB = P @ Q, Q @ ss.B
         ref_m, ref_d = np.empty(n), np.empty(n)
@@ -133,7 +134,8 @@ class TestGradH2:
         net, params = two_bus
         p = params.with_design([0.5, 0.5], [0.3, 0.3])
         ss = vt.assemble_state_space(net, p, ref_bus=0)
-        grad_m, grad_d = vt.grad_h2(ss, p)
+        P, Q = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
+        grad_m, grad_d = vt.grad_h2(ss, p, P=P, Q=Q)
         assert grad_m[0] == pytest.approx(grad_m[1], rel=1e-9)
         assert grad_d[0] == pytest.approx(grad_d[1], rel=1e-9)
 
@@ -143,9 +145,9 @@ class TestEvalObjective:
         ev = vt.eval_objective(twelve_params, ObjectiveConfig(beta=0.0), twelve_net, 0)
         assert ev.J_reg == 0.0
         assert ev.J_total == ev.J_h2
-        grad_m, _ = vt.grad_h2(
-            vt.assemble_state_space(twelve_net, twelve_params, 0), twelve_params
-        )
+        ss = vt.assemble_state_space(twelve_net, twelve_params, 0)
+        P, Q = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
+        grad_m, _ = vt.grad_h2(ss, twelve_params, P=P, Q=Q)
         assert np.array_equal(ev.grad_m, grad_m)
 
     def test_zero_m_kills_regularizer(self, twelve_net, twelve_params):
@@ -215,7 +217,7 @@ class TestEvalObjective:
         p = interior_point(twelve_params, np.random.default_rng(9))
         ev = vt.eval_objective(p, cfg, twelve_net, 2)
         ss = vt.assemble_state_space(twelve_net, p, 2, eta=eta)
-        P, Q = vt.gramians(ss)
+        P, Q = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
         grad_m, grad_d = vt.grad_h2(ss, p, P=P, Q=Q)
         grad_m = grad_m + 2.0 * cfg.beta * p.m
         assert np.max(np.abs(ev.P - P)) <= 1e-13 * np.max(np.abs(P))
