@@ -115,6 +115,8 @@ def _parse_bounds(text: str) -> dict[str, float]:
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse --bounds: {exc}") from exc
+    if not all(np.isfinite(values)):
+        raise ConfigurationError(f"--bounds must be finite numbers, got {text!r}")
     return dict(zip(["m_lb", "m_ub", "d_lb", "d_ub"], values))
 
 
@@ -171,6 +173,10 @@ def _load_coeffs(path: Path, gen_ids: tuple[int, ...]) -> tuple[np.ndarray, np.n
                 if bus in by_id:
                     raise ValidationError(f"coefficients file {path} repeats bus {bus}")
                 by_id[bus] = (float(row["m_opt"]), float(row["d_opt"]))
+                if not all(np.isfinite(by_id[bus])):
+                    raise ValidationError(
+                        f"coefficients file {path} has a non-finite m_opt or d_opt for bus {bus}"
+                    )
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"cannot read coefficients file {path}: {exc}") from exc
     missing = [gid for gid in gen_ids if gid not in by_id]
@@ -479,6 +485,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             cfg.betas = [float(b) for b in args.betas.split(",")]
         except ValueError as exc:
             raise ConfigurationError(f"cannot parse --betas: {exc}") from exc
+        if not all(np.isfinite(cfg.betas)):
+            raise ConfigurationError(f"--betas must be finite numbers, got {args.betas!r}")
     return cfg
 
 

@@ -3,28 +3,31 @@
 Solves ``A X + X A^T + W = 0`` for Hurwitz ``A`` and symmetric ``W`` and,
 from the same factorization, the dual ``A^T Y + Y A + W_dual = 0``.
 Controllability and observability gramians are the two instances used by
-the H2 objective: ``W = B B^T`` and ``W_dual = C^T C``. Each call costs
-one real Schur factorization ``A = U T U^T`` (Bartels and Stewart, 1972),
-which also gives the stability check, plus one triangular solve per
-equation. ``schur_factor`` and ``solve_factored`` expose the two steps, so
-a caller can solve the dual equation later, or never, from the same
-factors.
+the H2 objective: ``W = B B^T`` and ``W_dual = C^T C``.
 
-The triangular solve is recursive and blocked (Jonsson and Kagstrom, ACM
-TOMS 28(4), 2002): it halves ``T`` until the blocks have at most ``LEAF``
-rows and columns, hands those to LAPACK ``dtrsyl``, and does the coupling
-updates as matrix products. Unblocked ``dtrsyl`` on the whole matrix works
-through level-2 operations; at 199 states the blocked solve is about half
-its time.
+The solver is the squared Smith iteration (Smith, SIAM J. Appl. Math.
+16(1), 1968). With ``q = |det A|^(1/n)``, the geometric mean of the
+eigenvalue moduli, the Cayley transform ``R = (A - qI)^-1``,
+``T = R (A + qI)`` turns the equation into the Stein equation
+``X = T X T^T + 2q R W R^T``, whose solution is the series
+``sum_k T^k (2q R W R^T) (T^k)^T``. ``T`` is squared until
+``||T^(2^j)||_F <= POWER_TOL``; the stored powers sum the first ``2^j``
+terms in ``j`` steps ``X <- X + T^(2^i) X (T^(2^i))^T``, and the
+truncation error is below ``POWER_TOL**2`` relative. The dual equation uses the
+transposed powers. ``cayley_factor`` and ``solve_factored`` expose the two
+steps, so a caller can solve the dual equation later, or never, from the
+same factor. Every step is a dense matrix product or one LU, so numpy
+alone runs it.
 
-scipy is imported at the first solve, not with the module: ``import
-vsmtune`` and the commands that never solve a Lyapunov equation
-(``reduce``, ``simulate``, ``compare --coeffs``) run on numpy alone.
+The squaring also certifies stability: ``r = ||T^(2^j)||_F^(2^-j)`` bounds
+the spectral radius of ``T``, and so every eigenvalue of ``A`` has
+``Re(lambda) <= -(1 - r^2) q / 4``. Only when that bound does not clear
+``STABILITY_MARGIN`` are the eigenvalues computed.
 """
 
 from __future__ import annotations
 
-import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,10 +37,10 @@ from .errors import StabilityError
 # dynamics produce huge, noise-dominated gramians.
 STABILITY_MARGIN = -1e-9
 
-# Largest block handed to dtrsyl. At 199 states one solve took 4.3, 3.5
-# and 3.6 ms for leaves of 16, 32 and 64, against 8.2 ms unblocked
-# (2-core x86_64, OpenBLAS on one thread, best of 15).
-LEAF = 32
+# Squaring stops once ||T^(2^j)||_F is at most POWER_TOL, which leaves a
+# relative truncation error below POWER_TOL**2, or after MAX_SQUARINGS.
+POWER_TOL = 1e-8
+MAX_SQUARINGS = 64
 
 
 def _as_square(mat: np.ndarray, name: str) -> np.ndarray:
@@ -73,117 +76,82 @@ def _as_symmetric(W: np.ndarray, name: str, shape: tuple[int, int]) -> np.ndarra
     return 0.5 * (W + W.T)
 
 
-def _split(T: np.ndarray) -> int:
-    """Split index near the middle of ``T`` that never cuts a 2x2 block."""
-    k = T.shape[0] // 2
-    return k + 1 if T[k, k - 1] != 0.0 else k
+class CayleyFactor(NamedTuple):
+    """Factor of ``cayley_factor``.
 
-
-def _solve_triangular(T: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Recursive blocked solve of ``T X + X T^T = F`` (Jonsson and Kagstrom, 2002).
-
-    ``T`` is quasi-upper-triangular and ``F`` symmetric. Splitting ``T``
-    into 2x2 block form gives ``X22`` from the trailing diagonal block,
-    then the off-diagonal Sylvester block ``X12``, then ``X11``; the
-    Sylvester solves ``TA X + X TB^T = F`` recurse on their larger
-    dimension. Only blocks of at most ``LEAF`` rows and columns reach
-    LAPACK ``dtrsyl``; the updates between them are matrix products.
-    Returns ``X`` and whether some leaf had to perturb its coefficients.
+    ``S = sqrt(2q) (A - qI)^-1`` and the stored powers ``T, T^2, T^4, ...``
+    of ``T = (A - qI)^-1 (A + qI)`` that ``solve_factored`` sums.
     """
-    from scipy.linalg import lapack
 
-    perturbed = False
-
-    def leaf(TA, TB, F):
-        nonlocal perturbed
-        X, scale, info = lapack.dtrsyl(TA, TB, F, tranb="T")
-        if info < 0:
-            raise ValueError(f"dtrsyl: illegal value in argument {-info}")
-        perturbed = perturbed or info == 1
-        return X / scale
-
-    def sylvester(TA, TB, F):
-        m, p = F.shape
-        if m <= LEAF and p <= LEAF:
-            return leaf(TA, TB, F)
-        X = np.empty((m, p))
-        if m >= p:
-            k = _split(TA)
-            X[k:] = sylvester(TA[k:, k:], TB, F[k:])
-            X[:k] = sylvester(TA[:k, :k], TB, F[:k] - TA[:k, k:] @ X[k:])
-        else:
-            k = _split(TB)
-            X[:, k:] = sylvester(TA, TB[k:, k:], F[:, k:])
-            X[:, :k] = sylvester(TA, TB[:k, :k], F[:, :k] - X[:, k:] @ TB[:k, k:].T)
-        return X
-
-    def lyapunov(T, F):
-        n = T.shape[0]
-        if n <= LEAF:
-            return leaf(T, T, F)
-        k = _split(T)
-        X = np.empty((n, n))
-        X[k:, k:] = lyapunov(T[k:, k:], F[k:, k:])
-        X[:k, k:] = sylvester(T[:k, :k], T[k:, k:], F[:k, k:] - T[:k, k:] @ X[k:, k:])
-        X[k:, :k] = X[:k, k:].T
-        G = T[:k, k:] @ X[k:, :k]
-        X[:k, :k] = lyapunov(T[:k, :k], F[:k, :k] - G - G.T)
-        return X
-
-    return lyapunov(T, F), perturbed
+    S: np.ndarray
+    powers: tuple[np.ndarray, ...]
 
 
-def schur_factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real Schur form ``A = U T U^T`` of a Hurwitz ``A``, for ``solve_factored``.
+def cayley_factor(A: np.ndarray) -> CayleyFactor:
+    """Cayley transform of a Hurwitz ``A`` and its repeated squares, for ``solve_factored``.
 
-    scipy is imported here on the first call. The spectral abscissa is
-    read as ``max(diag(T))``: LAPACK standardizes each 2x2 block of ``T``
-    to equal diagonal entries, which are the real part of that complex
-    pair, and 1x1 blocks are the real eigenvalues.
+    Stability is accepted from the squaring's bound on the spectral
+    radius of ``T``. When the bound does not clear ``STABILITY_MARGIN``,
+    or ``A - qI`` is singular, or the powers turn non-finite or do not
+    fall below ``POWER_TOL`` within ``MAX_SQUARINGS``, the spectral
+    abscissa is read from ``np.linalg.eigvals`` instead.
 
     Raises
     ------
     StabilityError
-        If the spectral abscissa is at or above ``STABILITY_MARGIN``.
+        If the spectral abscissa is at or above ``STABILITY_MARGIN``, or
+        the powers of ``T`` do not converge.
     ValueError
         If ``A`` is not a finite square matrix.
     """
-    from scipy import linalg
-
     A = _as_square(A, "A")
-    T, U = linalg.schur(A, output="real")
-    abscissa = float(np.max(np.diag(T)))
-    if abscissa >= STABILITY_MARGIN:
-        raise StabilityError(
-            f"system matrix is not Hurwitz (spectral abscissa {abscissa:.3e})"
-        )
-    return T, U
+    n = A.shape[0]
+    powers = []
+    with np.errstate(all="ignore"):
+        q = float(np.exp(np.linalg.slogdet(A)[1] / n))
+        try:
+            R = np.linalg.inv(A - q * np.eye(n))
+        except np.linalg.LinAlgError:
+            R = np.full_like(A, np.nan)
+        T = 2.0 * q * R
+        T[np.diag_indices(n)] += 1.0
+        norm = np.linalg.norm(T)
+        for _ in range(MAX_SQUARINGS):
+            if not norm > POWER_TOL:
+                break
+            powers.append(T)
+            T = T @ T
+            norm = np.linalg.norm(T)
+        converged = bool(norm <= POWER_TOL)
+        r = norm ** (0.5 ** len(powers))
+    if not (converged and -(1.0 - r * r) * q / 4.0 < STABILITY_MARGIN):
+        abscissa = float(np.max(np.linalg.eigvals(A).real))
+        if abscissa >= STABILITY_MARGIN:
+            raise StabilityError(
+                f"system matrix is not Hurwitz (spectral abscissa {abscissa:.3e})"
+            )
+        if not converged:
+            raise StabilityError(
+                f"Cayley powers of the system matrix did not converge "
+                f"(spectral abscissa {abscissa:.3e})"
+            )
+    return CayleyFactor(np.sqrt(2.0 * q) * R, tuple(powers))
 
 
-def solve_factored(T: np.ndarray, U: np.ndarray, W: np.ndarray, dual: bool = False) -> np.ndarray:
+def solve_factored(factor: CayleyFactor, W: np.ndarray, dual: bool = False) -> np.ndarray:
     """Solve ``A X + X A^T + W = 0``, or ``A^T X + X A + W = 0`` when ``dual``.
 
-    ``(T, U)`` is ``schur_factor(A)``. The equation is solved in Schur
-    coordinates by ``_solve_triangular`` and transformed back; the result
-    is explicitly symmetrized. The dual equation ``T^T Z + Z T = F`` is the
-    primal one for the index-reversed ``T[::-1, ::-1]^T``, which is again
-    quasi-upper-triangular, so one triangular solver serves both.
+    ``factor`` is ``cayley_factor(A)``. The dual equation is the primal
+    one for ``A^T``, whose factor is the transpose of every matrix in
+    ``factor``. The result is explicitly symmetrized.
     """
-    W = _as_symmetric(W, "W_dual" if dual else "W", T.shape)
-    F = -(U.T @ W @ U)
+    S, powers = factor
+    W = _as_symmetric(W, "W_dual" if dual else "W", S.shape)
     if dual:
-        Z, perturbed = _solve_triangular(np.ascontiguousarray(T[::-1, ::-1].T), F[::-1, ::-1])
-        Z = Z[::-1, ::-1]
-    else:
-        Z, perturbed = _solve_triangular(T, F)
-    if perturbed:
-        warnings.warn(
-            "A has an eigenvalue pair whose sum is close to zero; dtrsyl "
-            "perturbed the coefficients to obtain the solution",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    X = U @ Z @ U.T
+        S, powers = S.T, [T.T for T in powers]
+    X = S @ W @ S.T
+    for T in powers:
+        X += T @ X @ T.T
     return 0.5 * (X + X.T)
 
 
@@ -192,14 +160,13 @@ def solve_lyapunov(
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Solve ``A X + X A^T + W = 0`` and optionally ``A^T Y + Y A + W_dual = 0``.
 
-    Factors ``A = U T U^T`` once with ``schur_factor``, which also checks
-    stability, and solves each equation in Schur coordinates with
-    ``solve_factored`` (one blocked triangular solve each); results are
-    explicitly symmetrized. The residual ``||A X + X A^T + W||_F``
-    stays below ``1e-8 * max(1, ||W||_F)`` for the dense, well-damped
-    systems this package produces (checked for both equations by
-    ``tests/test_lyapunov.py::TestSolveLyapunovPair``), and ``X`` is
-    positive semidefinite whenever ``W`` is.
+    Factors ``A`` once with ``cayley_factor``, which also checks
+    stability, and solves each equation from the factor with
+    ``solve_factored``; results are explicitly symmetrized. The residual
+    ``||A X + X A^T + W||_F`` stays below ``1e-8 * max(1, ||W||_F)`` for
+    the dense, well-damped systems this package produces (checked for both
+    equations by ``tests/test_lyapunov.py::TestSolveLyapunovPair``), and
+    ``X`` is positive semidefinite whenever ``W`` is.
 
     Returns
     -------
@@ -214,8 +181,8 @@ def solve_lyapunov(
     ValueError
         On non-square, non-finite, mismatched, or asymmetric inputs.
     """
-    T, U = schur_factor(A)
-    X = solve_factored(T, U, W)
+    factor = cayley_factor(A)
+    X = solve_factored(factor, W)
     if W_dual is None:
         return X
-    return X, solve_factored(T, U, W_dual, dual=True)
+    return X, solve_factored(factor, W_dual, dual=True)

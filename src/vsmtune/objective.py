@@ -18,11 +18,11 @@ omega-row of ``A``, one diagonal entry of ``B B^T`` and ``C^T C``), so
 all 2n partials reduce to O(n) cheap contractions of ``P Q`` instead of
 2n extra Lyapunov solves.
 
-``eval_objective`` is the one evaluator: it factors ``A`` once and solves
-for ``P``, which gives J. ``Q`` and the gradient are solved from the same
-Schur factors when one of them is first read, so a caller that only
-compares values (a rejected line-search trial) pays one factorization
-and one triangular solve.
+``eval_objective`` is the one evaluator: it factors ``A`` once (the Cayley
+transform and its repeated squares) and solves for ``P``, which gives J.
+``Q`` and the gradient are solved from the same factor when one of them
+is first read, so a caller that only compares values (a rejected
+line-search trial) pays one factorization and one primal solve.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 # solve_lyapunov is unused here but stays bound: perfbench/traced.py wraps it by name.
-from .lyapunov import schur_factor, solve_factored, solve_lyapunov  # noqa: F401
+from .lyapunov import CayleyFactor, cayley_factor, solve_factored, solve_lyapunov  # noqa: F401
 from .netmodel import DeviceParams, ReducedNetwork, StateSpace, assemble_state_space
 
 
@@ -63,7 +63,7 @@ class ObjectiveEval:
     """One objective evaluation: value split, gradient, and gramians.
 
     ``J_*`` and ``P`` are computed on construction; ``Q``, ``grad_m`` and
-    ``grad_d`` on first read, from the Schur factors ``(T, U)`` of
+    ``grad_d`` on first read, from ``factor``, the ``cayley_factor`` of
     ``ss.A``, and are then cached.
     """
 
@@ -74,12 +74,11 @@ class ObjectiveEval:
     ss: StateSpace = field(repr=False)
     params: DeviceParams = field(repr=False)
     beta: float = field(repr=False)
-    T: np.ndarray = field(repr=False)
-    U: np.ndarray = field(repr=False)
+    factor: CayleyFactor = field(repr=False)
 
     @cached_property
     def Q(self) -> np.ndarray:
-        return solve_factored(self.T, self.U, self.ss.C.T @ self.ss.C, dual=True)
+        return solve_factored(self.factor, self.ss.C.T @ self.ss.C, dual=True)
 
     @cached_property
     def _grad(self) -> tuple[np.ndarray, np.ndarray]:
@@ -103,8 +102,8 @@ def grad_h2(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact partials of the squared H2 norm w.r.t. each ``m_i`` and ``d_i``.
 
-    ``P`` and ``Q`` are the gramians of ``ss``, from the caller's Schur
-    factors. The omega-row of ``A`` for bus i scales with ``1/M_i``, so its
+    ``P`` and ``Q`` are the gramians of ``ss``, from the caller's factor.
+    The omega-row of ``A`` for bus i scales with ``1/M_i``, so its
     m-derivative is ``-A[w_i, :] / M_i``; the d-derivative touches only
     the diagonal damping entry. ``B B^T`` and ``C^T C`` contribute the
     diagonal terms ``-2 M_i^-3`` (or the folded eta pattern) and ``+1``.
@@ -136,8 +135,8 @@ def eval_objective(
     realization is not Hurwitz.
     """
     ss = assemble_state_space(net, params, ref_bus, eta=cfg.eta)
-    T, U = schur_factor(ss.A)
-    P = solve_factored(T, U, ss.B @ ss.B.T)
+    factor = cayley_factor(ss.A)
+    P = solve_factored(factor, ss.B @ ss.B.T)
     J_h2 = float(np.trace(ss.C @ P @ ss.C.T))
     J_reg = float(cfg.beta * np.dot(params.m, params.m))
     return ObjectiveEval(
@@ -148,8 +147,7 @@ def eval_objective(
         ss=ss,
         params=params,
         beta=cfg.beta,
-        T=T,
-        U=U,
+        factor=factor,
     )
 
 

@@ -6,10 +6,10 @@ Iterates ``alpha <- Proj[alpha - gamma * grad J(alpha)]`` where
 Barzilai-Borwein step ``s's / s'y`` from the last accepted step ``s`` and
 gradient change ``y``; an Armijo line search along the projection arc
 halves it until J decreases enough, and rejects trials whose dynamics
-are not Hurwitz. A trial costs one Schur factorization and one triangular
-solve, which give J; only the accepted trial's gradient is read, so only
-it solves the dual gramian from the same factors, and that gradient
-serves the next iteration.
+are not Hurwitz. A trial costs one Cayley factorization and one primal
+gramian solve, which give J; only the accepted trial's gradient is read,
+so only it solves the dual gramian from the same factor, and that
+gradient serves the next iteration.
 Convergence is judged on the unit-step projected-gradient (KKT) residual
 rather than the raw gradient norm, since optima routinely sit on the
 box boundary.

@@ -175,6 +175,12 @@ class TestOptimize:
         assert run("optimize", "--bounds", "a,b,c,d", "--out", tmp_path) == 2
         assert "--bounds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", ["0,inf,0,2", "0,3,nan,2", "-inf,3,0,2"])
+    def test_non_finite_bounds_exit_2(self, bounds, tmp_path, capsys):
+        assert run("optimize", f"--bounds={bounds}", "--out", tmp_path) == 2
+        assert f"--bounds must be finite numbers, got '{bounds}'" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
 
 class TestSimulate:
     def test_writes_trajectory_and_metrics(self, tmp_path):
@@ -242,6 +248,20 @@ class TestSimulate:
         assert "repeats bus 5" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("row", ["2,inf,0.5", "2,0.5,nan", "2,-inf,0.5"])
+    def test_rejects_non_finite_coeffs(self, command, row, tmp_path, capsys):
+        rows = [f"{g},0.5,0.5" for g in (1, 4, 5, 6, 8, 9, 10, 12)] + [row]
+        path = tmp_path / "non_finite.csv"
+        path.write_text("bus,m_opt,d_opt\n" + "\n".join(rows) + "\n")
+        assert run(
+            command, "--coeffs", path, "--disturb-node", 1, "--out", tmp_path,
+        ) == 2
+        assert f"coefficients file {path} has a non-finite m_opt or d_opt for bus 2" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_rejects_foreign_bus_in_coeffs(self, tmp_path, capsys):
         rows = [f"{g},0.5,0.5" for g in (1, 2, 4, 5, 6, 8, 9, 10, 12)] + ["99,2.0,2.0"]
         path = tmp_path / "foreign.csv"
@@ -266,7 +286,7 @@ class TestSimulate:
         assert not (tmp_path / "trajectory.csv").exists()
 
     def test_numpy_only_commands_leave_scipy_linalg_unloaded(self, tmp_path, twelve_params):
-        # reduce, simulate and compare --coeffs never solve a Lyapunov equation.
+        # Every command runs on numpy alone, the gramian solves included.
         coeffs = tmp_path / "coefficients.csv"
         rows = [f"{g},{float(m)!r},{float(d)!r}" for g, m, d in zip(
             (1, 2, 4, 5, 6, 8, 9, 10, 12), twelve_params.m_ub, twelve_params.d_ub)]
@@ -277,8 +297,12 @@ class TestSimulate:
             "codes = [cli.main(['reduce', '--out', out]),\n"
             "         cli.main(['simulate', '--disturb-node', '1', '--horizon', '1', '--out', out]),\n"
             "         cli.main(['compare', '--disturb-node', '1', '--horizon', '1',\n"
-            "                   '--coeffs', sys.argv[2], '--out', out])]\n"
-            "print(codes, 'scipy.linalg' in sys.modules)\n"
+            "                   '--coeffs', sys.argv[2], '--out', out]),\n"
+            "         cli.main(['optimize', '--out', out]),\n"
+            "         cli.main(['sweep-beta', '--betas=0,0.1', '--disturb-node', '1',\n"
+            "                   '--horizon', '1', '--out', out]),\n"
+            "         cli.main(['compare', '--disturb-node', '1', '--horizon', '1', '--out', out])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         src = str(Path(vt.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -286,7 +310,7 @@ class TestSimulate:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
             timeout=60, check=True,
         )
-        assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0] False"
+        assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
 
 
 class TestTrajectoryWriter:
@@ -413,6 +437,16 @@ class TestSweepBeta:
     def test_unparseable_betas_exit_2(self, tmp_path):
         assert run("sweep-beta", "--betas", "a,b", "--disturb-node", 6,
                    "--out", tmp_path) == 2
+
+    @pytest.mark.parametrize("betas", ["nan", "0,inf", "-inf"])
+    def test_non_finite_betas_exit_2(self, betas, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("optimize() ran before --betas was checked")
+
+        monkeypatch.setattr(cli, "optimize", never)
+        assert run("sweep-beta", f"--betas={betas}", "--disturb-node", 1, "--out", tmp_path) == 2
+        assert f"--betas must be finite numbers, got '{betas}'" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("command", [["optimize"], ["compare"], ["sweep-beta", "--betas", 0]])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,6 @@ from scipy import linalg
 
 import vsmtune as vt
 from vsmtune import StabilityError, is_hurwitz, solve_lyapunov
-from vsmtune.lyapunov import LEAF, _solve_triangular, solve_factored
 
 from conftest import random_connected_spec, random_stable_system
 
@@ -177,8 +178,8 @@ class TestSolveLyapunovPair:
 
     @pytest.mark.parametrize("real_part", [1e-3, -1e-10])
     def test_rejects_complex_pair_above_margin(self, real_part):
-        # The only modes at or above the margin are a complex pair, so the
-        # abscissa must be read from a 2x2 block of the Schur form.
+        # The only modes at or above the margin are a complex pair, so
+        # stability turns on the real part of a conjugate pair.
         block = linalg.block_diag([[real_part, 1.0], [-1.0, real_part]], [[-1.0, 0.3], [0.0, -2.0]])
         V, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
         A = V @ block @ V.T
@@ -191,87 +192,24 @@ class TestSolveLyapunovPair:
         with pytest.raises(ValueError, match="W_dual must be symmetric"):
             solve_lyapunov(-np.eye(2), np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_sylvester_scale_and_info(self, monkeypatch):
-        # Six states make one dtrsyl leaf; 2 * LEAF + 1 states make several,
-        # each scaled by its own factor, so every leaf must divide out its own.
-        dtrsyl = linalg.lapack.dtrsyl
-        for dim in (6, 2 * LEAF + 1):
-            monkeypatch.setattr(linalg.lapack, "dtrsyl", dtrsyl)
-            A, B, C = random_stable_system(np.random.default_rng(2), dim)
-            W, W_dual = B @ B.T, C.T @ C
-            X_ref, Y_ref = solve_lyapunov(A, W, W_dual)
-            calls = []
 
-            def scaled(*args, **kwargs):
-                # dtrsyl returns scale * solution when it rescales to avoid overflow.
-                x, _, info = dtrsyl(*args, **kwargs)
-                scale = 0.5 ** (len(calls) % 3 + 1)
-                calls.append(scale)
-                return scale * x, scale, info
-
-            monkeypatch.setattr(linalg.lapack, "dtrsyl", scaled)
-            X, Y = solve_lyapunov(A, W, W_dual)
-            assert rel_diff(X, X_ref) <= 1e-14 and rel_diff(Y, Y_ref) <= 1e-14
-            assert len(calls) == 2 if dim <= LEAF else len(set(calls)) == 3
-
-            leaves = []
-
-            def perturbed(*args, **kwargs):
-                leaves.append(None)
-                return (*dtrsyl(*args, **kwargs)[:2], 1)
-
-            monkeypatch.setattr(linalg.lapack, "dtrsyl", perturbed)
-            with pytest.warns(RuntimeWarning, match="perturbed") as record:
-                solve_lyapunov(A, W)
-            assert len(leaves) == 1 if dim <= LEAF else len(leaves) > 2
-            assert len(record) == 1
-
-            monkeypatch.setattr(linalg.lapack, "dtrsyl", lambda *a, **k: (*dtrsyl(*a, **k)[:2], -3))
-            with pytest.raises(ValueError, match="illegal value in argument 3"):
-                solve_lyapunov(A, W)
-
-
-def pair_cut_schur_form(rng, n):
-    """Quasi-upper-triangular T, mostly 2x2 blocks, with a complex pair at every cut.
-
-    The blocked solver splits a range of more than ``LEAF`` rows at its
-    midpoint ``c`` and moves the cut to ``c + 1`` when rows ``c - 1, c``
-    form a 2x2 block. A pair is placed on each midpoint that the primal
-    recursion meets (the dual one runs on the index-reversed form and meets
-    most of them), then the free rows are filled with pairs where two fit,
-    and 1x1 blocks elsewhere.
-    """
-    starts = set()
-
-    def place(lo, hi):
-        if hi - lo <= LEAF:
-            return
-        c = lo + (hi - lo) // 2
-        starts.add(c - 1)
-        place(lo, c + 1)
-        place(c + 1, hi)
-
-    place(0, n)
-    taken = {i for s in starts for i in (s, s + 1)}
-    for i in range(n - 1):
-        if i not in taken and i + 1 not in taken:
-            starts.add(i)
-            taken |= {i, i + 1}
+def complex_pair_schur_form(rng, n):
+    """Quasi-upper-triangular T with a complex pair on every row pair, one 1x1 block if n is odd."""
     # Off-diagonal entries of order 1/n keep T close enough to normal that
     # the solution, and so the 1e-12 comparison, stays well conditioned.
     T = np.triu(rng.standard_normal((n, n)), 1) / n
     for i in range(n):
         T[i, i] = -0.5 - rng.random()
-    for s in starts:
+    for s in range(0, n - 1, 2):
         re, b, c = -0.3 - rng.random(), 0.5 + rng.random(), 0.5 + rng.random()
         T[s:s + 2, s:s + 2] = [[re, b], [-c, re]]
-    return T, sorted(starts)
+    return T
 
 
 class TestBlockedTriangularSolve:
-    """The recursive blocked solve against scipy's unblocked Bartels-Stewart solver."""
+    """Random and quasi-triangular systems of up to 401 states against scipy's Bartels-Stewart solver."""
 
-    @pytest.mark.parametrize("dim", [1, LEAF, LEAF + 1, 2 * LEAF + 1, 401])
+    @pytest.mark.parametrize("dim", [1, 32, 33, 65, 401])
     def test_random_systems_match_scipy(self, dim):
         A, B, C = random_stable_system(np.random.default_rng(dim), dim)
         W, W_dual = B @ B.T, C.T @ C
@@ -281,26 +219,93 @@ class TestBlockedTriangularSolve:
         assert residual(A, X, W) <= 1e-8 * max(1.0, np.linalg.norm(W, "fro"))
         assert residual(A.T, Y, W_dual) <= 1e-8 * max(1.0, np.linalg.norm(W_dual, "fro"))
 
-    @pytest.mark.parametrize("dim", [2 * LEAF + 2, 4 * LEAF + 3])
-    def test_complex_pair_at_every_cut(self, dim):
+    @pytest.mark.parametrize("dim", [66, 131])
+    def test_complex_pair_forms_match_scipy(self, dim):
         rng = np.random.default_rng(dim)
-        T, starts = pair_cut_schur_form(rng, dim)
-        mid = dim // 2
-        assert mid - 1 in starts
-        assert 2 * len(starts) >= 0.9 * dim
+        T = complex_pair_schur_form(rng, dim)
         B = rng.standard_normal((dim, 3))
         W = B @ B.T
-        identity = np.eye(dim)
-        X = solve_factored(T, identity, W)
-        Y = solve_factored(T, identity, W, dual=True)
+        X, Y = solve_lyapunov(T, W, W)
         assert rel_diff(X, linalg.solve_continuous_lyapunov(T, -W)) <= 1e-12
         assert rel_diff(Y, linalg.solve_continuous_lyapunov(T.T, -W)) <= 1e-12
         assert residual(T, X, W) <= 1e-8 * max(1.0, np.linalg.norm(W, "fro"))
         assert residual(T.T, Y, W) <= 1e-8 * max(1.0, np.linalg.norm(W, "fro"))
 
-    def test_triangular_solve_is_symmetric(self):
-        T, _ = pair_cut_schur_form(np.random.default_rng(3), 3 * LEAF)
-        F = np.random.default_rng(4).standard_normal(T.shape)
-        X, perturbed = _solve_triangular(T, F + F.T)
-        assert not perturbed
-        assert np.linalg.norm(X - X.T) <= 1e-12 * np.linalg.norm(X)
+
+def count_eigvals(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(A):
+        calls.append(None)
+        return eigvals(A)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls
+
+
+class TestKernelEdgeCases:
+    """Inputs at the edges of the Cayley-power solver, against scipy."""
+
+    def assert_pair_matches_scipy(self, A, W, tol):
+        X, Y = solve_lyapunov(A, W, W)
+        assert rel_diff(X, linalg.solve_continuous_lyapunov(A, -W)) <= tol
+        assert rel_diff(Y, linalg.solve_continuous_lyapunov(A.T, -W)) <= tol
+
+    @pytest.mark.parametrize(
+        "A", [[[-1.0, 1.0], [0.0, -1.0]], [[0.0, 1.0], [-1.0, -2.0]]],
+        ids=["jordan-block", "critically-damped"],
+    )
+    def test_defective_matrices(self, A, monkeypatch):
+        calls = count_eigvals(monkeypatch)
+        self.assert_pair_matches_scipy(np.array(A), np.array([[1.0, 0.3], [0.3, 2.0]]), 1e-12)
+        assert not calls
+
+    def test_stiff_diagonal_within_transform_conditioning(self):
+        # With q = sqrt(1e-6 * 1e4) = 0.1, the slow mode maps to
+        # mu = (lambda + q) / (lambda - q) = -1 + 2e-5. Rounding mu to double
+        # perturbs 1 / (1 - mu^2), and so the gramian, by up to about
+        # eps * q / (2 |lambda|) = 1e-11 relative (6.1e-12 measured).
+        self.assert_pair_matches_scipy(np.diag([-1e-6, -1e4]), np.eye(2), 1e-10)
+
+    def test_inconclusive_certificate_falls_back_to_eigvals(self, monkeypatch):
+        # One fast mode among nine slow ones: q is about 6.3e-3, the fast
+        # mode's Cayley eigenvalue is 1 - 1.3e-7, and the bound on the
+        # abscissa (-4e-10) does not clear the margin. The eigenvalues
+        # show the matrix is Hurwitz, so the gramians are returned.
+        calls = count_eigvals(monkeypatch)
+        A = np.diag(np.r_[np.full(9, -1e-3), -1e5])
+        W = np.random.default_rng(0).standard_normal((10, 10))
+        self.assert_pair_matches_scipy(A, W + W.T + 20.0 * np.eye(10), 1e-12)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scale", [1e-3, 2.0, 1e3])
+    def test_invariant_to_scaling_a(self, scale):
+        A, B, _ = random_stable_system(np.random.default_rng(21), 20)
+        W = B @ B.T
+        assert rel_diff(scale * solve_lyapunov(scale * A, W), solve_lyapunov(A, W)) <= 1e-12
+        self.assert_pair_matches_scipy(scale * A, W, 1e-12)
+
+    @pytest.mark.parametrize("kind", ["singular", "unstable-50", "undamped-oscillator"])
+    def test_rejects_without_warnings(self, kind):
+        # A singular A - qI, powers that overflow, and powers of modulus one
+        # that reach the squaring cap all end in the eigenvalue check.
+        if kind == "singular":
+            A = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, -2.0]])
+        elif kind == "unstable-50":
+            A = np.random.default_rng(3).standard_normal((50, 50))
+            assert np.max(np.linalg.eigvals(A).real) > 1.0
+        else:
+            A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StabilityError, match="not Hurwitz"):
+                solve_lyapunov(A, np.eye(A.shape[0]))
+
+    def test_hurwitz_but_unresolved_by_the_transform(self):
+        # q = sqrt(1e27) rounds the slow mode's Cayley eigenvalue to -1, so
+        # its powers never decay although A is Hurwitz.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StabilityError, match="did not converge.*-1.000e-03"):
+                solve_lyapunov(np.diag([-1e-3, -1e30]), np.eye(2))
