@@ -17,7 +17,6 @@ import csv
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     ParameterError,
+    StabilityError,
     ValidationError,
     VsmtuneError,
 )
@@ -52,26 +52,6 @@ EXIT_INVALID = 2
 TRAJECTORY_BLOCK = 1024
 
 
-@dataclass
-class RunConfig:
-    network_file: Path
-    output_dir: Path
-    ref_bus: int | None = None
-    beta: float = 0.0
-    bounds: dict[str, float] | None = None
-    disturb_node: int | None = None
-    disturb_kind: str = "step"
-    magnitude: float = 0.1
-    horizon: float = 25.0
-    dt: float = 1e-3
-    max_iter: int = 5000
-    grad_tol: float = 1e-6
-    seed_point: str | None = None
-    coeffs_file: Path | None = None
-    betas: list[float] = field(default_factory=list)
-    known_location: bool = False
-
-
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -93,18 +73,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 class _Context:
     """Everything derived from the network file that commands share."""
 
-    def __init__(self, cfg: RunConfig):
-        self.doc: NetworkDocument = load_network(cfg.network_file)
+    def __init__(self, args: argparse.Namespace):
+        self.doc: NetworkDocument = load_network(args.network)
         self.net: ReducedNetwork = reduce_network(self.doc.spec)
-        self.params: DeviceParams = device_params(self.doc, self.net.gen_ids, cfg.bounds)
-        ref_id = cfg.ref_bus if cfg.ref_bus is not None else self.doc.ref_bus
+        self.params: DeviceParams = device_params(self.doc, self.net.gen_ids, args.bounds)
+        ref_id = args.ref_bus if args.ref_bus is not None else self.doc.ref_bus
         if ref_id is None:
             ref_id = self.net.gen_ids[0]
         self.ref_index = self.net.index_of(ref_id)
         self.ref_id = ref_id
-
-    def node_index(self, bus_id: int) -> int:
-        return self.net.index_of(bus_id)
 
 
 def _parse_bounds(text: str) -> dict[str, float]:
@@ -120,11 +97,23 @@ def _parse_bounds(text: str) -> dict[str, float]:
     return dict(zip(["m_lb", "m_ub", "d_lb", "d_ub"], values))
 
 
-def _seed_point(cfg: RunConfig, params: DeviceParams) -> tuple[np.ndarray | None, np.ndarray | None]:
-    if cfg.seed_point is None:
+def _parse_betas(text: str) -> list[float]:
+    if not text:
+        raise ConfigurationError("--betas requires at least one value")
+    try:
+        betas = [float(b) for b in text.split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot parse --betas: {exc}") from exc
+    if not all(np.isfinite(betas)):
+        raise ConfigurationError(f"--betas must be finite numbers, got {text!r}")
+    return betas
+
+
+def _seed_point(text: str | None, params: DeviceParams) -> tuple[np.ndarray | None, np.ndarray | None]:
+    if text is None:
         return None, None
     try:
-        parts = [float(p) for p in cfg.seed_point.split(",")]
+        parts = [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse --seed-point: {exc}") from exc
     n = params.n
@@ -142,23 +131,13 @@ def _seed_point(cfg: RunConfig, params: DeviceParams) -> tuple[np.ndarray | None
     )
 
 
-def _descent_config(cfg: RunConfig, params: DeviceParams) -> DescentConfig:
-    init_m, init_d = _seed_point(cfg, params)
-    return DescentConfig(
-        max_iter=cfg.max_iter,
-        grad_tol=cfg.grad_tol,
-        init_m=init_m,
-        init_d=init_d,
-    )
-
-
-def _disturbance(cfg: RunConfig, ctx: _Context) -> Disturbance:
-    if cfg.disturb_node is None:
+def _disturbance(args: argparse.Namespace, ctx: _Context) -> Disturbance:
+    if args.disturb_node is None:
         raise ConfigurationError("--disturb-node is required for this command")
     return Disturbance(
-        kind=cfg.disturb_kind,
-        node=ctx.node_index(cfg.disturb_node),
-        magnitude=cfg.magnitude,
+        kind=args.disturb_kind,
+        node=ctx.net.index_of(args.disturb_node),
+        magnitude=args.magnitude,
     )
 
 
@@ -237,57 +216,61 @@ def _write_coefficients(path: Path, ctx: _Context, m: np.ndarray, d: np.ndarray)
 
 
 def _run_optimizer(
-    cfg: RunConfig, ctx: _Context, known_location: bool
+    args: argparse.Namespace, ctx: _Context, beta: float, known_location: bool
 ) -> tuple[OptResult, ObjectiveConfig]:
     eta = None
     if known_location:
-        if cfg.disturb_node is None:
+        if args.disturb_node is None:
             raise ConfigurationError("--known-location requires --disturb-node")
         eta = np.zeros(ctx.net.n)
-        eta[ctx.node_index(cfg.disturb_node)] = 1.0
-    obj = ObjectiveConfig(beta=cfg.beta, eta=eta)
-    dcfg = _descent_config(cfg, ctx.params)
+        eta[ctx.net.index_of(args.disturb_node)] = 1.0
+    obj = ObjectiveConfig(beta=beta, eta=eta)
+    init_m, init_d = _seed_point(args.seed_point, ctx.params)
+    dcfg = DescentConfig(
+        max_iter=args.max_iter, grad_tol=args.grad_tol, init_m=init_m, init_d=init_d
+    )
     result = optimize(ctx.net, ctx.params, obj, dcfg, ref_bus=ctx.ref_index)
     return result, obj
 
 
-def cmd_reduce(cfg: RunConfig) -> int:
-    ctx = _Context(cfg)
+def cmd_reduce(args: argparse.Namespace) -> int:
+    ctx = _Context(args)
     net = ctx.net
     _write_csv(
-        cfg.output_dir / "reduced_generators.csv",
+        args.out / "reduced_generators.csv",
         ["bus", "m_hat", "d_hat"],
         [(gid, ctx.params.m_hat[i], ctx.params.d_hat[i]) for i, gid in enumerate(net.gen_ids)],
     )
     _write_csv(
-        cfg.output_dir / "reduced_laplacian.csv",
+        args.out / "reduced_laplacian.csv",
         ["bus"] + [str(g) for g in net.gen_ids],
         [(gid,) + tuple(net.L[i]) for i, gid in enumerate(net.gen_ids)],
     )
-    removed = [b.id for b in ctx.doc.spec.buses if b.kind == "load"]
     print(
         f"reduced network: {net.n} generator buses {list(net.gen_ids)}, "
-        f"eliminated load buses {removed}"
+        f"eliminated load buses {list(ctx.doc.spec.load_ids)}"
     )
     return EXIT_OK
 
 
-def cmd_optimize(cfg: RunConfig) -> int:
-    ctx = _Context(cfg)
+def cmd_optimize(args: argparse.Namespace) -> int:
+    ctx = _Context(args)
     # A stated disturbance location switches to the single-channel model.
-    result, obj = _run_optimizer(cfg, ctx, known_location=cfg.disturb_node is not None)
-    _write_coefficients(cfg.output_dir / "coefficients.csv", ctx, result.m_star, result.d_star)
+    result, obj = _run_optimizer(
+        args, ctx, args.beta, known_location=args.disturb_node is not None
+    )
+    _write_coefficients(args.out / "coefficients.csv", ctx, result.m_star, result.d_star)
     _write_csv(
-        cfg.output_dir / "convergence.csv",
+        args.out / "convergence.csv",
         ["iteration", "J_total"],
         list(enumerate(result.J_history)),
     )
     _write_csv(
-        cfg.output_dir / "summary.csv",
+        args.out / "summary.csv",
         ["beta", "ref_bus", "formulation", "iterations", "converged",
          "termination_reason", "J_initial", "J_final"],
         [(
-            cfg.beta,
+            args.beta,
             ctx.ref_id,
             "known_location" if obj.eta is not None else "unknown_location",
             result.iterations,
@@ -304,39 +287,39 @@ def cmd_optimize(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _params_for_simulation(cfg: RunConfig, ctx: _Context) -> DeviceParams:
-    if cfg.coeffs_file is not None:
-        m, d = _load_coeffs(cfg.coeffs_file, ctx.net.gen_ids)
+def _params_for_simulation(args: argparse.Namespace, ctx: _Context) -> DeviceParams:
+    if args.coeffs is not None:
+        m, d = _load_coeffs(args.coeffs, ctx.net.gen_ids)
         return ctx.params.with_design(m, d)
     # No explicit design: fall back to the lower bounds (minimal virtual support).
     return ctx.params.with_design(ctx.params.m_lb, ctx.params.d_lb)
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    ctx = _Context(cfg)
-    params = _params_for_simulation(cfg, ctx)
-    dist = _disturbance(cfg, ctx)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    ctx = _Context(args)
+    params = _params_for_simulation(args, ctx)
+    dist = _disturbance(args, ctx)
     ss = assemble_state_space(ctx.net, params, ctx.ref_index)
-    result = simulate(ss, dist, horizon=cfg.horizon, dt=cfg.dt)
+    result = simulate(ss, dist, horizon=args.horizon, dt=args.dt)
     for note in result.warnings:
         log.warning("%s", note)
-    _write_trajectory(cfg.output_dir / "trajectory.csv", ctx.net.gen_ids, result)
+    _write_trajectory(args.out / "trajectory.csv", ctx.net.gen_ids, result)
     _write_csv(
-        cfg.output_dir / "metrics.csv",
+        args.out / "metrics.csv",
         ["bus", "rocof_max", "nadir", "settle_time", "omega_ss"],
         _metrics_rows(ctx.net.gen_ids, result),
     )
-    print(f"simulate: {dist.kind} of {dist.magnitude} p.u. at bus {cfg.disturb_node}, "
-          f"horizon {cfg.horizon}s")
+    print(f"simulate: {dist.kind} of {dist.magnitude} p.u. at bus {args.disturb_node}, "
+          f"horizon {args.horizon}s")
     return EXIT_OK
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    ctx = _Context(cfg)
-    if cfg.coeffs_file is not None:
-        m_opt, d_opt = _load_coeffs(cfg.coeffs_file, ctx.net.gen_ids)
+def cmd_compare(args: argparse.Namespace) -> int:
+    ctx = _Context(args)
+    if args.coeffs is not None:
+        m_opt, d_opt = _load_coeffs(args.coeffs, ctx.net.gen_ids)
     else:
-        result, _ = _run_optimizer(cfg, ctx, known_location=cfg.known_location)
+        result, _ = _run_optimizer(args, ctx, args.beta, known_location=args.known_location)
         m_opt, d_opt = result.m_star, result.d_star
     p = ctx.params
     variants = [
@@ -344,39 +327,37 @@ def cmd_compare(cfg: RunConfig) -> int:
         ("d_opt_m_opt", p.with_design(m_opt, d_opt)),
         ("d_max_m_max", p.with_design(p.m_ub, p.d_ub)),
     ]
-    dist = _disturbance(cfg, ctx)
+    dist = _disturbance(args, ctx)
     results = compare_designs(
-        ctx.net, variants, dist, horizon=cfg.horizon, dt=cfg.dt, ref_bus=ctx.ref_index
+        ctx.net, variants, dist, horizon=args.horizon, dt=args.dt, ref_bus=ctx.ref_index
     )
     metric_rows = []
     for label, res in results:
-        _write_trajectory(cfg.output_dir / f"trajectory_{label}.csv", ctx.net.gen_ids, res)
+        _write_trajectory(args.out / f"trajectory_{label}.csv", ctx.net.gen_ids, res)
         metric_rows.extend(_metrics_rows(ctx.net.gen_ids, res, prefix=(label,)))
     _write_csv(
-        cfg.output_dir / "metrics.csv",
+        args.out / "metrics.csv",
         ["variant", "bus", "rocof_max", "nadir", "settle_time", "omega_ss"],
         metric_rows,
     )
-    print(f"compare: {len(results)} variants simulated at bus {cfg.disturb_node}")
+    print(f"compare: {len(results)} variants simulated at bus {args.disturb_node}")
     return EXIT_OK
 
 
-def cmd_sweep_beta(cfg: RunConfig) -> int:
-    ctx = _Context(cfg)
-    if not cfg.betas:
-        raise ConfigurationError("--betas requires at least one value")
-    dist = _disturbance(cfg, ctx)
+def cmd_sweep_beta(args: argparse.Namespace) -> int:
+    ctx = _Context(args)
+    dist = _disturbance(args, ctx)
     node = dist.node
     rows = []
-    for k, beta in enumerate(cfg.betas):
-        sweep_cfg = replace(cfg, beta=beta)
+    for k, beta in enumerate(args.betas):
+        # Only a run's own dynamics fail one row; input errors end the sweep with exit 2.
         try:
-            result, _ = _run_optimizer(sweep_cfg, ctx, known_location=cfg.known_location)
+            result, _ = _run_optimizer(args, ctx, beta, known_location=args.known_location)
             params = ctx.params.with_design(result.m_star, result.d_star)
             ss = assemble_state_space(ctx.net, params, ctx.ref_index)
-            sim = simulate(ss, dist, horizon=cfg.horizon, dt=cfg.dt)
+            sim = simulate(ss, dist, horizon=args.horizon, dt=args.dt)
             _write_coefficients(
-                cfg.output_dir / f"coefficients_b{k}.csv", ctx, result.m_star, result.d_star
+                args.out / f"coefficients_b{k}.csv", ctx, result.m_star, result.d_star
             )
             rows.append((
                 beta, "ok",
@@ -384,11 +365,11 @@ def cmd_sweep_beta(cfg: RunConfig) -> int:
                 sim.rocof_max[node], sim.nadir[node], sim.settle_time[node],
                 "",
             ))
-        except VsmtuneError as exc:
+        except StabilityError as exc:
             log.error("beta=%g failed: %s", beta, exc)
             rows.append((beta, "failed", "", "", "", "", "", str(exc)))
     _write_csv(
-        cfg.output_dir / "sweep.csv",
+        args.out / "sweep.csv",
         ["beta", "status", "sum_m", "sum_d", "rocof_max", "nadir", "settle_time", "error"],
         rows,
     )
@@ -459,35 +440,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    network = args.network if args.network is not None else bundled_network_path()
-    cfg = RunConfig(
-        network_file=Path(network),
-        output_dir=Path(args.out),
-        ref_bus=args.ref_bus,
-        bounds=_parse_bounds(args.bounds) if args.bounds else None,
-    )
+def _resolve_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Parse the flags that argparse leaves as text; judge --out before any run."""
+    args.network = Path(args.network if args.network is not None else bundled_network_path())
+    args.out = Path(args.out)
+    args.bounds = _parse_bounds(args.bounds) if args.bounds else None
     # The mkdir after the run fails unless the nearest existing ancestor of --out is a directory.
-    ancestor = cfg.output_dir
+    ancestor = args.out
     while not ancestor.exists() and ancestor != ancestor.parent:
         ancestor = ancestor.parent
     if ancestor.exists() and not ancestor.is_dir():
-        raise ConfigurationError(f"--out {cfg.output_dir}: {ancestor} exists and is not a directory")
-    for name in ("beta", "max_iter", "grad_tol", "seed_point",
-                 "disturb_node", "disturb_kind", "magnitude", "horizon", "dt",
-                 "known_location"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "coeffs", None):
-        cfg.coeffs_file = Path(args.coeffs)
-    if getattr(args, "betas", None):
-        try:
-            cfg.betas = [float(b) for b in args.betas.split(",")]
-        except ValueError as exc:
-            raise ConfigurationError(f"cannot parse --betas: {exc}") from exc
-        if not all(np.isfinite(cfg.betas)):
-            raise ConfigurationError(f"--betas must be finite numbers, got {args.betas!r}")
-    return cfg
+        raise ConfigurationError(f"--out {args.out}: {ancestor} exists and is not a directory")
+    if hasattr(args, "coeffs"):
+        args.coeffs = Path(args.coeffs) if args.coeffs else None
+    if hasattr(args, "betas"):
+        args.betas = _parse_betas(args.betas)
+    return args
 
 
 COMMANDS = {
@@ -506,8 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](_resolve_args(args))
     except (ValidationError, ConfigurationError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

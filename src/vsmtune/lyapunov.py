@@ -27,6 +27,7 @@ the spectral radius of ``T``, and so every eigenvalue of ``A`` has
 
 from __future__ import annotations
 
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +42,10 @@ STABILITY_MARGIN = -1e-9
 # relative truncation error below POWER_TOL**2, or after MAX_SQUARINGS.
 POWER_TOL = 1e-8
 MAX_SQUARINGS = 64
+
+# solve_lyapunov warns when ||A X + X A^T + W||_F exceeds
+# RESIDUAL_TOL * max(1, ||W||_F).
+RESIDUAL_TOL = 1e-8
 
 
 def _as_square(mat: np.ndarray, name: str) -> np.ndarray:
@@ -155,6 +160,19 @@ def solve_factored(factor: CayleyFactor, W: np.ndarray, dual: bool = False) -> n
     return 0.5 * (X + X.T)
 
 
+def _check_residual(A: np.ndarray, X: np.ndarray, W: np.ndarray, name: str) -> None:
+    W = np.asarray(W, dtype=float)
+    residual = float(np.linalg.norm(A @ X + X @ A.T + 0.5 * (W + W.T)))
+    bound = RESIDUAL_TOL * max(1.0, float(np.linalg.norm(W)))
+    if not residual <= bound:
+        warnings.warn(
+            f"Lyapunov residual for {name} is {residual:.3e}, {residual / bound:.3g} times "
+            f"its bound {bound:.3e}; the system matrix may be too stiff for the solver",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def solve_lyapunov(
     A: np.ndarray, W: np.ndarray, W_dual: np.ndarray | None = None
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
@@ -163,10 +181,12 @@ def solve_lyapunov(
     Factors ``A`` once with ``cayley_factor``, which also checks
     stability, and solves each equation from the factor with
     ``solve_factored``; results are explicitly symmetrized. The residual
-    ``||A X + X A^T + W||_F`` stays below ``1e-8 * max(1, ||W||_F)`` for
-    the dense, well-damped systems this package produces (checked for both
-    equations by ``tests/test_lyapunov.py::TestSolveLyapunovPair``), and
-    ``X`` is positive semidefinite whenever ``W`` is.
+    ``||A X + X A^T + W||_F`` of each returned solution is checked against
+    ``RESIDUAL_TOL * max(1, ||W||_F)``, and a ``RuntimeWarning`` naming the
+    ratio is issued when it fails. The dense, well-damped systems this
+    package produces meet the bound; stiff ones need not, since the
+    Cayley transform loses about ``eps * cond(A - qI)``. ``X`` is positive
+    semidefinite whenever ``W`` is.
 
     Returns
     -------
@@ -181,8 +201,12 @@ def solve_lyapunov(
     ValueError
         On non-square, non-finite, mismatched, or asymmetric inputs.
     """
+    A = _as_square(A, "A")
     factor = cayley_factor(A)
     X = solve_factored(factor, W)
+    _check_residual(A, X, W, "W")
     if W_dual is None:
         return X
-    return X, solve_factored(factor, W_dual, dual=True)
+    Y = solve_factored(factor, W_dual, dual=True)
+    _check_residual(A.T, Y, W_dual, "W_dual")
+    return X, Y

@@ -186,14 +186,6 @@ class StateSpace:
     def n_machines(self) -> int:
         return self.C.shape[0]
 
-    @property
-    def n_states(self) -> int:
-        return self.A.shape[0]
-
-    def omega_index(self, i: int) -> int:
-        """State index of the frequency deviation at generator ``i``."""
-        return self.n_machines - 1 + i
-
 
 def validate_network(spec: NetworkSpec) -> None:
     """Check NetworkSpec invariants, raising ValidationError with context."""

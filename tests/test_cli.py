@@ -448,6 +448,39 @@ class TestSweepBeta:
         assert f"--betas must be finite numbers, got '{betas}'" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-iter", "0", "max_iter must be at least 1"),
+        ("--seed-point", "2", "--seed-point fraction must lie in [0, 1]"),
+    ])
+    def test_invalid_run_settings_exit_2(self, flag, value, message, tmp_path, monkeypatch,
+                                         capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("optimize() ran with invalid run settings")
+
+        monkeypatch.setattr(cli, "optimize", never)
+        assert run("sweep-beta", "--betas=0,0.1", "--disturb-node", 1, flag, value,
+                   "--out", tmp_path) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_unstable_run_fails_its_row_only(self, tmp_path, monkeypatch, capsys):
+        real_optimize = cli.optimize
+
+        def unstable_at_zero(net, params, obj, *args, **kwargs):
+            if obj.beta == 0.0:
+                raise StabilityError("system matrix is not Hurwitz")
+            return real_optimize(net, params, obj, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize", unstable_at_zero)
+        assert run("sweep-beta", "--betas=0,0.01", "--grad-tol", 1e-3, "--disturb-node", 6,
+                   "--horizon", 5.0, "--out", tmp_path) == 1
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert [(r["beta"], r["status"]) for r in rows] == [("0", "failed"), ("0.01", "ok")]
+        assert rows[0]["error"] == "system matrix is not Hurwitz"
+        assert not (tmp_path / "coefficients_b0.csv").exists()
+        assert (tmp_path / "coefficients_b1.csv").exists()
+        assert "1/2 runs succeeded" in capsys.readouterr().out
+
 
 @pytest.mark.parametrize("command", [["optimize"], ["compare"], ["sweep-beta", "--betas", 0]])
 def test_removed_gamma0_flag_rejected(command, tmp_path, capsys):
@@ -489,8 +522,8 @@ class TestErrorMapping:
         assert "error: [Errno 13] Permission denied" in capsys.readouterr().err
 
     def test_network_flag_default_is_bundled(self):
-        cfg = cli._config_from_args(cli.build_parser().parse_args(["reduce"]))
-        assert cfg.network_file == bundled_network_path()
+        args = cli._resolve_args(cli.build_parser().parse_args(["reduce"]))
+        assert args.network == bundled_network_path()
 
     def test_load_bus_as_disturbance_exit_2(self, tmp_path, capsys):
         assert run("simulate", "--disturb-node", 3, "--out", tmp_path) == 2

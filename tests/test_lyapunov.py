@@ -172,9 +172,25 @@ class TestSolveLyapunovPair:
     def test_residuals_within_documented_bound(self, system):
         A, B, C = system
         W, W_dual = B @ B.T, C.T @ C
-        X, Y = solve_lyapunov(A, W, W_dual)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, Y = solve_lyapunov(A, W, W_dual)
         assert residual(A, X, W) <= 1e-8 * max(1.0, np.linalg.norm(W, "fro"))
         assert residual(A.T, Y, W_dual) <= 1e-8 * max(1.0, np.linalg.norm(W_dual, "fro"))
+
+    def test_warns_when_residual_exceeds_bound(self):
+        # Stiff spectrum: the Cayley transform loses about eps * cond(A - qI).
+        V, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((10, 10)))
+        A = V @ np.diag([-1e-3] * 9 + [-1e5]) @ V.T
+        W = np.eye(10)
+        with pytest.warns(RuntimeWarning, match=r"Lyapunov residual for W is .* times its bound"):
+            X = solve_lyapunov(A, W)
+        assert residual(A, X, W) > 1e-8 * np.linalg.norm(W, "fro")
+        with pytest.warns(RuntimeWarning) as record:
+            solve_lyapunov(A, W, W)
+        assert {str(w.message).split(" is ")[0] for w in record} == {
+            "Lyapunov residual for W", "Lyapunov residual for W_dual"
+        }
 
     @pytest.mark.parametrize("real_part", [1e-3, -1e-10])
     def test_rejects_complex_pair_above_margin(self, real_part):
