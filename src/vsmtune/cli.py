@@ -37,7 +37,7 @@ from .netfile import (
 from .netmodel import DeviceParams, ReducedNetwork, assemble_state_space, reduce_network
 from .objective import ObjectiveConfig
 from .optimizer import DescentConfig, OptResult, optimize
-from .simulator import Disturbance, SimResult, compare_designs, simulate
+from .simulator import Disturbance, SimResult, compare_designs, sample_buffer, simulate
 
 log = logging.getLogger(__name__)
 
@@ -319,6 +319,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.coeffs is not None:
         m_opt, d_opt = _load_coeffs(args.coeffs, ctx.net.gen_ids)
     else:
+        # Refuse an unusable --horizon/--dt before optimizing.
+        sample_buffer(args.horizon, args.dt, 2 * ctx.net.n - 1)
         result, _ = _run_optimizer(args, ctx, args.beta, known_location=args.known_location)
         m_opt, d_opt = result.m_star, result.d_star
     p = ctx.params
@@ -347,6 +349,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_sweep_beta(args: argparse.Namespace) -> int:
     ctx = _Context(args)
     dist = _disturbance(args, ctx)
+    # Refuse an unusable --horizon/--dt before the first optimization.
+    sample_buffer(args.horizon, args.dt, 2 * ctx.net.n - 1)
     node = dist.node
     rows = []
     for k, beta in enumerate(args.betas):

@@ -10,25 +10,44 @@ The solver is the squared Smith iteration (Smith, SIAM J. Appl. Math.
 eigenvalue moduli, the Cayley transform ``R = (A - qI)^-1``,
 ``T = R (A + qI)`` turns the equation into the Stein equation
 ``X = T X T^T + 2q R W R^T``, whose solution is the series
-``sum_k T^k (2q R W R^T) (T^k)^T``. ``T`` is squared until
-``||T^(2^j)||_F <= POWER_TOL``; the stored powers sum the first ``2^j``
-terms in ``j`` steps ``X <- X + T^(2^i) X (T^(2^i))^T``, and the
-truncation error is below ``POWER_TOL**2`` relative. The dual equation uses the
-transposed powers. ``cayley_factor`` and ``solve_factored`` expose the two
-steps, so a caller can solve the dual equation later, or never, from the
-same factor. Every step is a dense matrix product or one LU, so numpy
-alone runs it.
+``sum_k T^k (2q R W R^T) (T^k)^T``. ``T`` is squared until the next
+square is known to have ``||T^(2^(j+1))||_F <= POWER_TOL``: it was formed
+and measured, or ``||T^(2^j)||_F^2 <= POWER_TOL`` bounds it unformed,
+since ``||T^2||_F <= ||T||_F^2``. The ``j + 1`` stored powers
+``T, ..., T^(2^j)`` sum the first ``2^(j+1)`` terms in steps
+``X <- X + T^(2^i) X (T^(2^i))^T``, and the truncation error is below
+``POWER_TOL**2`` relative. The dual equation uses the transposed powers.
+``cayley_factor`` and ``solve_factored`` expose the two steps, so a caller
+can solve the dual equation later, or never, from the same factor. Every
+step is a dense matrix product or one LU, so numpy alone runs it.
 
-The squaring also certifies stability: ``r = ||T^(2^j)||_F^(2^-j)`` bounds
-the spectral radius of ``T``, and so every eigenvalue of ``A`` has
-``Re(lambda) <= -(1 - r^2) q / 4``. Only when that bound does not clear
-``STABILITY_MARGIN`` are the eigenvalues computed.
+Three facts of the swing models keep each step small:
+
+* The right-hand sides come factored, ``W = F F^T`` with ``F = B`` or
+  ``C^T``. ``solve_factored`` starts the sum from ``(S F)(S F)^T`` and
+  carries a factor ``G`` of width ``w`` as ``[G, T G]`` while ``w`` is at
+  most the state count (``T G`` costs ``2 n^2 w`` flops against ``4 n^3``
+  for a dense step), then goes dense. The rank-1 known-location ``B``
+  stays factored for its first ``log2(n) + 1`` powers. The dense steps
+  write through two preallocated buffers.
+* ``A`` ends in a diagonal block (the damping block ``-D/M``). ``det A``
+  and ``(A - qI)^-1`` are eliminated through it, so LAPACK factors only
+  the Schur complement of that block. Without a usable diagonal block
+  the same code is the dense inverse.
+* The squaring stops one product early, on the bound above.
+
+The squaring also certifies stability: with ``N`` the last norm measured
+or bounded, ``N >= ||T^(2^m)||_F`` for ``m`` stored powers, the root
+``r = N^(2^-m)`` bounds the spectral radius of ``T``, and so every
+eigenvalue of ``A`` has ``Re(lambda) <= -(1 - r^2) q / 4``. Only when
+that bound does not clear ``STABILITY_MARGIN`` are the eigenvalues
+computed.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,13 +57,13 @@ from .errors import StabilityError
 # dynamics produce huge, noise-dominated gramians.
 STABILITY_MARGIN = -1e-9
 
-# Squaring stops once ||T^(2^j)||_F is at most POWER_TOL, which leaves a
+# Squaring stops once ||T^(2^j)||_F^2 is at most POWER_TOL, which leaves a
 # relative truncation error below POWER_TOL**2, or after MAX_SQUARINGS.
 POWER_TOL = 1e-8
 MAX_SQUARINGS = 64
 
-# solve_lyapunov warns when ||A X + X A^T + W||_F exceeds
-# RESIDUAL_TOL * max(1, ||W||_F).
+# Gramians whose ||A X + X A^T + W||_F exceeds RESIDUAL_TOL * max(1, ||W||_F)
+# draw a RuntimeWarning from check_residual.
 RESIDUAL_TOL = 1e-8
 
 
@@ -92,6 +111,61 @@ class CayleyFactor(NamedTuple):
     powers: tuple[np.ndarray, ...]
 
 
+def _diagonal_split(A: np.ndarray) -> int:
+    """Start ``k`` of the trailing diagonal block that ``_shift_inverse`` eliminates.
+
+    ``A[k:, k:]`` is the largest trailing block with zero off-diagonal
+    entries. It is used when it has at least two rows (a single entry is
+    trivially diagonal) and a negative diagonal, so that neither it nor
+    its shift by ``-qI`` has a zero pivot; otherwise ``k`` is the order
+    of ``A`` and the block is empty.
+    """
+    n = A.shape[0]
+    coupled = A != 0
+    np.fill_diagonal(coupled, False)
+    coupled |= coupled.T
+    # Row i couples to a later state when its last nonzero lies right of the diagonal.
+    last = n - 1 - np.argmax(coupled[:, ::-1], axis=1)
+    rows = np.arange(n)
+    later = np.flatnonzero(coupled[rows, last] & (last > rows))
+    k = int(later[-1]) + 1 if later.size else 0
+    if n - k < 2 or not np.all(np.diagonal(A)[k:] < 0.0):
+        return n
+    return k
+
+
+def _shift_inverse(A: np.ndarray) -> tuple[float, np.ndarray]:
+    """``q = |det A|^(1/n)`` and ``(A - qI)^-1``, by elimination of a diagonal block.
+
+    With ``A = [[A11, A12], [A21, diag(a)]]`` split at ``_diagonal_split``,
+    ``det A = prod(a) det(A11 - A12 diag(a)^-1 A21)``, and ``(A - qI)^-1``
+    follows from ``Z^-1``, ``Z = A11 - qI - A12 diag(a - q)^-1 A21``. Only
+    these two Schur complements reach LAPACK. ``(A - qI)^-1`` is all NaN
+    when ``Z`` is singular.
+    """
+    k = _diagonal_split(A)
+    A11, A12, A21 = A[:k, :k], A[:k, k:], A[k:, :k]
+    a = np.diagonal(A)[k:]
+    logdet = np.log(np.abs(a)).sum() + np.linalg.slogdet(A11 - (A12 / a) @ A21)[1]
+    q = float(np.exp(logdet / A.shape[0]))
+    h = a - q
+    H = A12 / h  # A12 diag(h)^-1
+    G = A21 / h[:, None]  # diag(h)^-1 A21
+    Z = A11 - H @ A21
+    Z[np.diag_indices(k)] -= q
+    try:
+        Z_inv = np.linalg.inv(Z)
+    except np.linalg.LinAlgError:
+        return q, np.full_like(A, np.nan)
+    R = np.empty_like(A)
+    R[:k, :k] = Z_inv
+    R[:k, k:] = -(Z_inv @ H)
+    R[k:, :k] = -(G @ Z_inv)
+    R[k:, k:] = -(G @ R[:k, k:])
+    R[k:, k:][np.diag_indices(A.shape[0] - k)] += 1.0 / h
+    return q, R
+
+
 def cayley_factor(A: np.ndarray) -> CayleyFactor:
     """Cayley transform of a Hurwitz ``A`` and its repeated squares, for ``solve_factored``.
 
@@ -113,18 +187,19 @@ def cayley_factor(A: np.ndarray) -> CayleyFactor:
     n = A.shape[0]
     powers = []
     with np.errstate(all="ignore"):
-        q = float(np.exp(np.linalg.slogdet(A)[1] / n))
-        try:
-            R = np.linalg.inv(A - q * np.eye(n))
-        except np.linalg.LinAlgError:
-            R = np.full_like(A, np.nan)
+        q, R = _shift_inverse(A)
         T = 2.0 * q * R
         T[np.diag_indices(n)] += 1.0
+        # norm bounds ||T^(2^len(powers))||_F: it is that norm, or the
+        # square of the last stored power's norm.
         norm = np.linalg.norm(T)
         for _ in range(MAX_SQUARINGS):
             if not norm > POWER_TOL:
                 break
             powers.append(T)
+            if norm * norm <= POWER_TOL:
+                norm *= norm
+                break
             T = T @ T
             norm = np.linalg.norm(T)
         converged = bool(norm <= POWER_TOL)
@@ -143,26 +218,81 @@ def cayley_factor(A: np.ndarray) -> CayleyFactor:
     return CayleyFactor(np.sqrt(2.0 * q) * R, tuple(powers))
 
 
-def solve_factored(factor: CayleyFactor, W: np.ndarray, dual: bool = False) -> np.ndarray:
-    """Solve ``A X + X A^T + W = 0``, or ``A^T X + X A + W = 0`` when ``dual``.
-
-    ``factor`` is ``cayley_factor(A)``. The dual equation is the primal
-    one for ``A^T``, whose factor is the transpose of every matrix in
-    ``factor``. The result is explicitly symmetrized.
-    """
+def _oriented(factor: CayleyFactor, dual: bool) -> tuple[np.ndarray, Sequence[np.ndarray]]:
+    """``factor``, or the factor of ``A^T`` (every matrix transposed) when ``dual``."""
     S, powers = factor
-    W = _as_symmetric(W, "W_dual" if dual else "W", S.shape)
     if dual:
-        S, powers = S.T, [T.T for T in powers]
-    X = S @ W @ S.T
-    for T in powers:
-        X += T @ X @ T.T
-    return 0.5 * (X + X.T)
+        return S.T, [T.T for T in powers]
+    return S, powers
 
 
-def _check_residual(A: np.ndarray, X: np.ndarray, W: np.ndarray, name: str) -> None:
-    W = np.asarray(W, dtype=float)
-    residual = float(np.linalg.norm(A @ X + X @ A.T + 0.5 * (W + W.T)))
+def _smith_sum(powers: Sequence[np.ndarray], start: np.ndarray, factored: bool) -> np.ndarray:
+    """Apply ``X <- X + T X T^T`` for each of ``powers`` in turn; symmetrized.
+
+    ``X`` starts as ``start``, which it overwrites, or as ``G G^T`` with
+    ``G = start`` when ``factored``. A factor of width ``w`` stays a
+    factor, ``[G, T G]``, while ``w`` is at most the state count ``n``:
+    the doubling and its share of the final ``G G^T`` cost ``4 n^2 w``
+    flops, no more than the ``4 n^3`` of a dense step. The remaining steps
+    are dense.
+    """
+    dim = start.shape[0]
+    steps = 0
+    if factored:
+        width = start.shape[1]
+        while steps < len(powers) and width << steps <= dim:
+            steps += 1
+        # Rows of Gt are the columns of G, so each doubling fills a contiguous row block.
+        Gt = np.empty((width << steps, dim))
+        Gt[:width] = start.T
+        for T in powers[:steps]:
+            np.matmul(Gt[:width], T.T, out=Gt[width:2 * width])
+            width *= 2
+        X = Gt.T @ Gt
+    else:
+        X = start
+    TX = np.empty_like(X)
+    TXT = np.empty_like(X)
+    for T in powers[steps:]:
+        np.matmul(T, X, out=TX)
+        np.matmul(TX, T.T, out=TXT)
+        X += TXT
+    np.add(X, X.T, out=TX)
+    TX *= 0.5
+    return TX
+
+
+def solve_factored(factor: CayleyFactor, F: np.ndarray, dual: bool = False) -> np.ndarray:
+    """Solve ``A X + X A^T + F F^T = 0``, or ``A^T X + X A + F F^T = 0`` when ``dual``.
+
+    ``factor`` is ``cayley_factor(A)`` and ``F`` has one row per state.
+    The dual equation is the primal one for ``A^T``, whose factor is the
+    transpose of every matrix in ``factor``. The result is explicitly
+    symmetrized.
+    """
+    S, powers = _oriented(factor, dual)
+    F = np.asarray(F, dtype=float)
+    if F.ndim != 2 or F.shape[0] != S.shape[0]:
+        raise ValueError(f"F must have {S.shape[0]} rows, got shape {F.shape}")
+    if not np.all(np.isfinite(F)):
+        raise ValueError("F contains non-finite entries")
+    return _smith_sum(powers, S @ F, factored=True)
+
+
+def _solve_dense(factor: CayleyFactor, W: np.ndarray, dual: bool) -> np.ndarray:
+    """``solve_factored`` for a dense symmetric ``W``: the sum starts from ``S W S^T``."""
+    S, powers = _oriented(factor, dual)
+    return _smith_sum(powers, S @ W @ S.T, factored=False)
+
+
+def check_residual(A: np.ndarray, X: np.ndarray, W: np.ndarray, name: str) -> None:
+    """Warn when ``||A X + X A^T + W||_F`` exceeds ``RESIDUAL_TOL * max(1, ||W||_F)``.
+
+    ``X`` and ``W`` are symmetric, so ``X A^T`` is ``(A X)^T`` and the
+    check costs one product.
+    """
+    AX = A @ X
+    residual = float(np.linalg.norm(AX + AX.T + W))
     bound = RESIDUAL_TOL * max(1.0, float(np.linalg.norm(W)))
     if not residual <= bound:
         warnings.warn(
@@ -179,14 +309,14 @@ def solve_lyapunov(
     """Solve ``A X + X A^T + W = 0`` and optionally ``A^T Y + Y A + W_dual = 0``.
 
     Factors ``A`` once with ``cayley_factor``, which also checks
-    stability, and solves each equation from the factor with
-    ``solve_factored``; results are explicitly symmetrized. The residual
-    ``||A X + X A^T + W||_F`` of each returned solution is checked against
-    ``RESIDUAL_TOL * max(1, ||W||_F)``, and a ``RuntimeWarning`` naming the
-    ratio is issued when it fails. The dense, well-damped systems this
-    package produces meet the bound; stiff ones need not, since the
-    Cayley transform loses about ``eps * cond(A - qI)``. ``X`` is positive
-    semidefinite whenever ``W`` is.
+    stability, and sums each series from the dense start ``S W S^T`` with
+    the same steps as ``solve_factored``; results are explicitly
+    symmetrized. The residual of each returned solution is checked by
+    ``check_residual``, and a ``RuntimeWarning`` naming the ratio is issued
+    when it misses ``RESIDUAL_TOL * max(1, ||W||_F)``. The dense,
+    well-damped systems this package produces meet the bound; stiff ones
+    need not, since the Cayley transform loses about ``eps * cond(A - qI)``.
+    ``X`` is positive semidefinite whenever ``W`` is.
 
     Returns
     -------
@@ -202,11 +332,14 @@ def solve_lyapunov(
         On non-square, non-finite, mismatched, or asymmetric inputs.
     """
     A = _as_square(A, "A")
+    W = _as_symmetric(W, "W", A.shape)
+    if W_dual is not None:
+        W_dual = _as_symmetric(W_dual, "W_dual", A.shape)
     factor = cayley_factor(A)
-    X = solve_factored(factor, W)
-    _check_residual(A, X, W, "W")
+    X = _solve_dense(factor, W, dual=False)
+    check_residual(A, X, W, "W")
     if W_dual is None:
         return X
-    Y = solve_factored(factor, W_dual, dual=True)
-    _check_residual(A.T, Y, W_dual, "W_dual")
+    Y = _solve_dense(factor, W_dual, dual=True)
+    check_residual(A.T, Y, W_dual, "W_dual")
     return X, Y

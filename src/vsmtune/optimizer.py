@@ -6,10 +6,13 @@ Iterates ``alpha <- Proj[alpha - gamma * grad J(alpha)]`` where
 Barzilai-Borwein step ``s's / s'y`` from the last accepted step ``s`` and
 gradient change ``y``; an Armijo line search along the projection arc
 halves it until J decreases enough, and rejects trials whose dynamics
-are not Hurwitz. A trial costs one Cayley factorization and one primal
-gramian solve, which give J; only the accepted trial's gradient is read,
-so only it solves the dual gramian from the same factor, and that
-gradient serves the next iteration.
+are not Hurwitz. A trial costs one Cayley factorization, whose only
+LAPACK calls act on the (n-1)-square angle block, and one primal gramian
+solve from the factored right-hand side ``B``, which give J; only the
+accepted trial's gradient is read, so only it solves the dual gramian
+from the same factor and ``C^T``, and that gradient serves the next
+iteration. At the final point both gramians' Lyapunov residuals are
+checked, and a ``RuntimeWarning`` reports one that misses its bound.
 Convergence is judged on the unit-step projected-gradient (KKT) residual
 rather than the raw gradient norm, since optima routinely sit on the
 box boundary.
@@ -161,6 +164,9 @@ def optimize(
         iterations += 1
         if log.isEnabledFor(logging.DEBUG) and iterations % 50 == 0:
             log.debug("iter %d: J=%.9g gamma=%.3g", iterations, J, gamma)
+
+    # The final gradient was read, so both gramians are at hand.
+    ev.check_residuals()
 
     return OptResult(
         m_star=alpha[:n].copy(),

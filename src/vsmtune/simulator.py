@@ -113,6 +113,30 @@ def _settle_time(t: np.ndarray, dev: np.ndarray, band: float) -> float:
     return float(t[last_out] + frac * (t[last_out + 1] - t[last_out]))
 
 
+def sample_buffer(horizon: float, dt: float, dim: int) -> np.ndarray:
+    """Check a simulation's time grid and allocate its uninitialized ``(steps + 1) x dim`` samples.
+
+    ``dt`` and ``horizon`` must be finite, ``dt`` positive, ``horizon`` at
+    least 20 steps long, and the samples must fit in memory; a
+    ``ValidationError`` names the violated condition. Commands that run an
+    optimization before simulating call it first, so that a bad grid
+    fails before any work.
+    """
+    if not (np.isfinite(dt) and np.isfinite(horizon)):
+        raise ValidationError(f"dt and horizon must be finite, got dt={dt}, horizon={horizon}")
+    if dt <= 0:
+        raise ValidationError("dt must be positive")
+    if horizon < 20 * dt:
+        raise ValidationError("horizon must cover at least 20 time steps")
+    try:
+        return np.empty((int(round(horizon / dt)) + 1, dim))
+    except (OverflowError, MemoryError, ValueError) as exc:
+        raise ValidationError(
+            f"horizon/dt asks for {horizon / dt + 1:.6g} samples of {dim} states, "
+            "more than can be allocated"
+        ) from exc
+
+
 def simulate(
     ss: StateSpace,
     dist: Disturbance,
@@ -123,17 +147,11 @@ def simulate(
 
     A step is applied as a constant input from t = 0; an impulse is
     realized as the initial condition ``x(0) = B e_node * magnitude``.
-    Requires a Hurwitz ``ss.A``; ``dt`` and ``horizon`` must be finite,
-    ``horizon`` must cover at least 20 steps of size ``dt``, and the
-    ``horizon / dt + 1`` samples of the state must fit in memory.
+    Requires a Hurwitz ``ss.A`` and a time grid that ``sample_buffer``
+    accepts.
     """
-    if not (np.isfinite(dt) and np.isfinite(horizon)):
-        raise ValidationError(f"dt and horizon must be finite, got dt={dt}, horizon={horizon}")
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    if horizon < 20 * dt:
-        raise ValidationError("horizon must cover at least 20 time steps")
     A, B = ss.A, ss.B
+    xs = sample_buffer(horizon, dt, A.shape[0])
     n = ss.n_machines
     na = n - 1
 
@@ -170,15 +188,7 @@ def simulate(
     # keep omega_ss at +0.0 for impulses and zero-magnitude steps.
     x_eq = np.linalg.solve(A, -bu) if bu.any() else np.zeros(dim)
 
-    try:
-        steps = int(round(horizon / dt))
-        xs = np.empty((steps + 1, dim))
-    except (OverflowError, MemoryError, ValueError) as exc:
-        raise ValidationError(
-            f"horizon/dt asks for {horizon / dt + 1:.6g} samples of {dim} states, "
-            "more than can be allocated"
-        ) from exc
-    t = np.arange(steps + 1) * dt
+    t = np.arange(xs.shape[0]) * dt
     xs[0] = x0 - x_eq
     _fill_by_doubling(xs, _rk4_step_map(A, dt))
     xs += x_eq

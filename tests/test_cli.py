@@ -10,6 +10,7 @@ import pytest
 
 import vsmtune as vt
 import vsmtune.cli as cli
+import vsmtune.optimizer as optimizer_module
 from vsmtune import StabilityError, bundled_network_path
 
 
@@ -462,6 +463,27 @@ class TestSweepBeta:
                    "--out", tmp_path) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["sweep-beta", "--betas=0,0.1"],
+        ["compare"],
+    ], ids=["sweep-beta", "compare"])
+    @pytest.mark.parametrize("flag, value", [("--horizon", "1e300"), ("--dt", "nan")])
+    def test_bad_time_grid_exit_2_before_any_evaluation(self, command, flag, value, tmp_path,
+                                                        monkeypatch, capsys):
+        calls = []
+        eval_objective = optimizer_module.eval_objective
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return eval_objective(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer_module, "eval_objective", counting)
+        assert run(*command, "--disturb-node", 1, flag, value, "--out", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+        assert not (tmp_path / "sweep.csv").exists()
+        assert not (tmp_path / "metrics.csv").exists()
 
     def test_unstable_run_fails_its_row_only(self, tmp_path, monkeypatch, capsys):
         real_optimize = cli.optimize

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import linalg
 
 import vsmtune as vt
-from vsmtune import StabilityError, is_hurwitz, solve_lyapunov
+from vsmtune import StabilityError, is_hurwitz, lyapunov, solve_lyapunov
 
 from conftest import random_connected_spec, random_stable_system
 
@@ -325,3 +325,95 @@ class TestKernelEdgeCases:
             warnings.simplefilter("error")
             with pytest.raises(StabilityError, match="did not converge.*-1.000e-03"):
                 solve_lyapunov(np.diag([-1e-3, -1e30]), np.eye(2))
+
+
+def swing_systems(twelve_net, twelve_params):
+    """Swing models at random box points: ``(all-channel realization, known-location B)``.
+
+    Three twelve-bus points (17 states) with a random ``eta`` and reference
+    bus, and two 50-generator grids (99 states) with a one-bus ``eta``.
+    """
+    rng = np.random.default_rng(31)
+    p = twelve_params
+    for _ in range(3):
+        m = p.m_lb + rng.random(p.n) * (p.m_ub - p.m_lb)
+        d = p.d_lb + rng.random(p.n) * (p.d_ub - p.d_lb)
+        yield twelve_net, p.with_design(m, d), int(rng.integers(p.n)), rng.random(p.n)
+    for seed in (5, 6):
+        net = vt.reduce_network(random_connected_spec(np.random.default_rng(seed), 50))
+        n = net.n
+        params = vt.DeviceParams(
+            m_hat=0.5 + 2.0 * rng.random(n), d_hat=0.2 + rng.random(n),
+            m=3.0 * rng.random(n), d=2.0 * rng.random(n),
+            m_lb=np.zeros(n), m_ub=np.full(n, 3.0), d_lb=np.zeros(n), d_ub=np.full(n, 2.0),
+        )
+        yield net, params, 0, np.eye(n)[int(rng.integers(n))]
+
+
+class TestFactoredKernel:
+    """Block elimination of the damping block and factored right-hand sides, on swing models."""
+
+    def test_shift_inverse_matches_dense_lapack(self, twelve_net, twelve_params):
+        for net, params, ref, _ in swing_systems(twelve_net, twelve_params):
+            A = vt.assemble_state_space(net, params, ref).A
+            dim = A.shape[0]
+            assert lyapunov._diagonal_split(A) == net.n - 1
+            q, R = lyapunov._shift_inverse(A)
+            assert q == pytest.approx(np.exp(np.linalg.slogdet(A)[1] / dim), rel=1e-13)
+            assert rel_diff(R, np.linalg.inv(A - q * np.eye(dim))) <= 1e-13
+
+    def test_factored_solves_match_dense_solves(self, twelve_net, twelve_params):
+        for net, params, ref, eta in swing_systems(twelve_net, twelve_params):
+            ss = vt.assemble_state_space(net, params, ref)
+            B_eta = vt.assemble_state_space(net, params, ref, eta=eta).B
+            factor = lyapunov.cayley_factor(ss.A)
+            for F, dual in ((ss.B, False), (B_eta, False), (ss.C.T, True)):
+                W = F @ F.T
+                A = ss.A.T if dual else ss.A
+                X = lyapunov.solve_factored(factor, F, dual=dual)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    X_dense = solve_lyapunov(A, W)
+                assert rel_diff(X, X_dense) <= 1e-13
+                assert np.array_equal(X, X.T)
+                assert residual(A, X, W) <= 1e-8 * max(1.0, np.linalg.norm(W, "fro"))
+
+    def test_squaring_stops_on_the_bound(self, twelve_net, twelve_params):
+        for net, params, ref, _ in swing_systems(twelve_net, twelve_params):
+            powers = lyapunov.cayley_factor(vt.assemble_state_space(net, params, ref).A).powers
+            # Each stored power's square was needed; the last one's square is
+            # below the tolerance, formed or not.
+            norms = [np.linalg.norm(T) for T in powers]
+            assert all(norm**2 > lyapunov.POWER_TOL for norm in norms[:-1])
+            assert np.linalg.norm(powers[-1] @ powers[-1]) <= lyapunov.POWER_TOL
+
+    @pytest.mark.parametrize("kind", ["generic", "zero-in-diagonal-block"])
+    def test_without_usable_block_takes_dense_path(self, kind):
+        if kind == "generic":
+            A, B, _ = random_stable_system(np.random.default_rng(41), 12)
+        else:
+            # Swing-like: a coupling block over a diagonal block with one zero entry.
+            rng = np.random.default_rng(42)
+            A = np.zeros((7, 7))
+            A[:3, 3:] = rng.standard_normal((3, 4))
+            A[3:, :3] = -A[:3, 3:].T
+            A[3:, 3:] = np.diag([-1.0, 0.0, -2.0, -0.5])
+            A[:3, :3] = -np.eye(3)
+            B = rng.standard_normal((7, 2))
+        assert np.max(np.linalg.eigvals(A).real) < -1e-3
+        assert lyapunov._diagonal_split(A) == A.shape[0]
+        q, R = lyapunov._shift_inverse(A)
+        assert q == pytest.approx(np.exp(np.linalg.slogdet(A)[1] / A.shape[0]), rel=1e-13)
+        assert rel_diff(R, np.linalg.inv(A - q * np.eye(A.shape[0]))) <= 1e-13
+        factor = lyapunov.cayley_factor(A)
+        X = lyapunov.solve_factored(factor, B)
+        Y = lyapunov.solve_factored(factor, B, dual=True)
+        assert rel_diff(X, linalg.solve_continuous_lyapunov(A, -B @ B.T)) <= 1e-12
+        assert rel_diff(Y, linalg.solve_continuous_lyapunov(A.T, -B @ B.T)) <= 1e-12
+
+    def test_rejects_bad_factor(self):
+        factor = lyapunov.cayley_factor(-np.eye(3))
+        with pytest.raises(ValueError, match="3 rows"):
+            lyapunov.solve_factored(factor, np.ones((2, 1)))
+        with pytest.raises(ValueError, match="non-finite"):
+            lyapunov.solve_factored(factor, np.full((3, 1), np.nan))

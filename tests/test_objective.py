@@ -146,9 +146,13 @@ class TestEvalObjective:
         assert ev.J_reg == 0.0
         assert ev.J_total == ev.J_h2
         ss = vt.assemble_state_space(twelve_net, twelve_params, 0)
-        P, Q = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
-        grad_m, _ = vt.grad_h2(ss, twelve_params, P=P, Q=Q)
+        grad_m, _ = vt.grad_h2(ss, twelve_params, P=ev.P, Q=ev.Q)
         assert np.array_equal(ev.grad_m, grad_m)
+        # The dense-W solver starts its sums from B B^T, the evaluation from B:
+        # the two agree to rounding.
+        P, Q = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
+        dense_grad_m, _ = vt.grad_h2(ss, twelve_params, P=P, Q=Q)
+        assert np.max(np.abs(ev.grad_m - dense_grad_m)) <= 1e-13 * np.max(np.abs(grad_m))
 
     def test_zero_m_kills_regularizer(self, twelve_net, twelve_params):
         p = twelve_params.with_design(np.zeros(twelve_params.n), twelve_params.d)

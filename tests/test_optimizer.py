@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,6 +189,49 @@ class TestEvaluationCost:
         assert counts["eval"] >= res.iterations + 1
         assert counts["factor"] == counts["eval"]
         assert counts["eigvals"] == 0
+
+    @pytest.mark.parametrize("known_location", [False, True])
+    def test_lapack_sees_only_the_angle_block(self, monkeypatch, twelve_net, twelve_params,
+                                              known_location):
+        # The damping block is eliminated, so no inverse, determinant or
+        # eigenvalue call acts on the full (2n-1)-square system matrix,
+        # neither for J nor for the gradient read.
+        shapes = []
+
+        def recording(fn):
+            def wrapper(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("inv", "slogdet", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        n = twelve_params.n
+        eta = np.eye(n)[3] if known_location else None
+        ev = objective_module.eval_objective(twelve_params, ObjectiveConfig(eta=eta), twelve_net, 0)
+        assert shapes == [(n - 1, n - 1)] * 2
+        ev.grad_m
+        assert shapes == [(n - 1, n - 1)] * 2
+
+
+class TestFinalResidualCheck:
+    def test_silent_on_accurate_gramians(self, twelve_net, twelve_params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            optimize(twelve_net, twelve_params, ObjectiveConfig(), DescentConfig(max_iter=3))
+
+    def test_warns_on_a_kernel_regression(self, monkeypatch, twelve_net, twelve_params):
+        # A dual solve that is off by 1e-6 relative leaves J and its path
+        # almost unchanged; only the residual at the final point shows it.
+        solve_factored = objective_module.solve_factored
+
+        def skewed(factor, F, dual=False):
+            X = solve_factored(factor, F, dual=dual)
+            return X * (1.0 + 1e-6) if dual else X
+
+        monkeypatch.setattr(objective_module, "solve_factored", skewed)
+        with pytest.warns(RuntimeWarning, match=r"Lyapunov residual for Q is .* times its bound"):
+            optimize(twelve_net, twelve_params, ObjectiveConfig(), DescentConfig(max_iter=3))
 
 
 class TestLazyDualSolve:
