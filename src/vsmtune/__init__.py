@@ -13,7 +13,6 @@ from .errors import (
     ValidationError,
     VsmtuneError,
 )
-from .lyapunov import is_hurwitz, solve_lyapunov
 from .netfile import (
     NetworkDocument,
     bundled_network_path,
@@ -74,7 +73,6 @@ __all__ = [
     "device_params",
     "eval_objective",
     "grad_h2",
-    "is_hurwitz",
     "kron_reduce",
     "load_network",
     "objective_value",
@@ -84,6 +82,5 @@ __all__ = [
     "reduce_network",
     "serialize_network",
     "simulate",
-    "solve_lyapunov",
     "validate_network",
 ]

@@ -335,6 +335,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
     metric_rows = []
     for label, res in results:
+        for note in res.warnings:
+            log.warning("%s: %s", label, note)
         _write_trajectory(args.out / f"trajectory_{label}.csv", ctx.net.gen_ids, res)
         metric_rows.extend(_metrics_rows(ctx.net.gen_ids, res, prefix=(label,)))
     _write_csv(
@@ -360,6 +362,8 @@ def cmd_sweep_beta(args: argparse.Namespace) -> int:
             params = ctx.params.with_design(result.m_star, result.d_star)
             ss = assemble_state_space(ctx.net, params, ctx.ref_index)
             sim = simulate(ss, dist, horizon=args.horizon, dt=args.dt)
+            for note in sim.warnings:
+                log.warning("beta=%g: %s", beta, note)
             _write_coefficients(
                 args.out / f"coefficients_b{k}.csv", ctx, result.m_star, result.d_star
             )

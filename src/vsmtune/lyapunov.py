@@ -1,9 +1,13 @@
 """Dense continuous-time Lyapunov kernel.
 
-Solves ``A X + X A^T + W = 0`` for Hurwitz ``A`` and symmetric ``W`` and,
-from the same factorization, the dual ``A^T Y + Y A + W_dual = 0``.
-Controllability and observability gramians are the two instances used by
-the H2 objective: ``W = B B^T`` and ``W_dual = C^T C``.
+Solves ``A X + X A^T + W = 0`` for Hurwitz ``A`` and a right-hand side
+given by its factor, ``W = F F^T``, and, from the same factorization, the
+dual ``A^T Y + Y A + W = 0``. Controllability and observability gramians
+are the two instances used by the H2 objective: ``F = B`` and ``F = C^T``.
+``cayley_factor(A)`` factors ``A`` and checks stability, and
+``solve_lyapunov(factor, F, dual)`` sums one series from that factor, so
+a caller can solve the dual equation later, or never. No entry point
+takes a dense ``W``.
 
 The solver is the squared Smith iteration (Smith, SIAM J. Appl. Math.
 16(1), 1968). With ``q = |det A|^(1/n)``, the geometric mean of the
@@ -17,19 +21,17 @@ since ``||T^2||_F <= ||T||_F^2``. The ``j + 1`` stored powers
 ``T, ..., T^(2^j)`` sum the first ``2^(j+1)`` terms in steps
 ``X <- X + T^(2^i) X (T^(2^i))^T``, and the truncation error is below
 ``POWER_TOL**2`` relative. The dual equation uses the transposed powers.
-``cayley_factor`` and ``solve_factored`` expose the two steps, so a caller
-can solve the dual equation later, or never, from the same factor. Every
-step is a dense matrix product or one LU, so numpy alone runs it.
+Every step is a dense matrix product or one LU, so numpy alone runs it.
 
 Three facts of the swing models keep each step small:
 
-* The right-hand sides come factored, ``W = F F^T`` with ``F = B`` or
-  ``C^T``. ``solve_factored`` starts the sum from ``(S F)(S F)^T`` and
-  carries a factor ``G`` of width ``w`` as ``[G, T G]`` while ``w`` is at
-  most the state count (``T G`` costs ``2 n^2 w`` flops against ``4 n^3``
-  for a dense step), then goes dense. The rank-1 known-location ``B``
-  stays factored for its first ``log2(n) + 1`` powers. The dense steps
-  write through two preallocated buffers.
+* The right-hand sides come factored. ``solve_lyapunov`` starts the sum
+  from ``(S F)(S F)^T`` and carries a factor ``G`` of width ``w`` as
+  ``[G, T G]`` while ``w`` is at most the state count (``T G`` costs
+  ``2 n^2 w`` flops against ``4 n^3`` for a dense step), then goes dense.
+  The rank-1 known-location ``B`` stays factored for its first
+  ``log2(n) + 1`` powers. The dense steps write through two preallocated
+  buffers.
 * ``A`` ends in a diagonal block (the damping block ``-D/M``). ``det A``
   and ``(A - qI)^-1`` are eliminated through it, so LAPACK factors only
   the Schur complement of that block. Without a usable diagonal block
@@ -91,20 +93,11 @@ def is_hurwitz(A: np.ndarray) -> tuple[bool, float]:
     return abscissa < 0.0, abscissa
 
 
-def _as_symmetric(W: np.ndarray, name: str, shape: tuple[int, int]) -> np.ndarray:
-    W = _as_square(W, name)
-    if W.shape != shape:
-        raise ValueError(f"A and {name} must have equal shapes, got {shape} and {W.shape}")
-    if not np.allclose(W, W.T, rtol=1e-10, atol=1e-12 * max(1.0, float(np.abs(W).max()))):
-        raise ValueError(f"{name} must be symmetric")
-    return 0.5 * (W + W.T)
-
-
 class CayleyFactor(NamedTuple):
     """Factor of ``cayley_factor``.
 
     ``S = sqrt(2q) (A - qI)^-1`` and the stored powers ``T, T^2, T^4, ...``
-    of ``T = (A - qI)^-1 (A + qI)`` that ``solve_factored`` sums.
+    of ``T = (A - qI)^-1 (A + qI)`` that ``solve_lyapunov`` sums.
     """
 
     S: np.ndarray
@@ -167,7 +160,7 @@ def _shift_inverse(A: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def cayley_factor(A: np.ndarray) -> CayleyFactor:
-    """Cayley transform of a Hurwitz ``A`` and its repeated squares, for ``solve_factored``.
+    """Cayley transform of a Hurwitz ``A`` and its repeated squares, for ``solve_lyapunov``.
 
     Stability is accepted from the squaring's bound on the spectral
     radius of ``T``. When the bound does not clear ``STABILITY_MARGIN``,
@@ -226,31 +219,48 @@ def _oriented(factor: CayleyFactor, dual: bool) -> tuple[np.ndarray, Sequence[np
     return S, powers
 
 
-def _smith_sum(powers: Sequence[np.ndarray], start: np.ndarray, factored: bool) -> np.ndarray:
-    """Apply ``X <- X + T X T^T`` for each of ``powers`` in turn; symmetrized.
+def solve_lyapunov(factor: CayleyFactor, F: np.ndarray, dual: bool = False) -> np.ndarray:
+    """Solve ``A X + X A^T + F F^T = 0``, or ``A^T X + X A + F F^T = 0`` when ``dual``.
 
-    ``X`` starts as ``start``, which it overwrites, or as ``G G^T`` with
-    ``G = start`` when ``factored``. A factor of width ``w`` stays a
-    factor, ``[G, T G]``, while ``w`` is at most the state count ``n``:
-    the doubling and its share of the final ``G G^T`` cost ``4 n^2 w``
-    flops, no more than the ``4 n^3`` of a dense step. The remaining steps
-    are dense.
+    ``factor`` is ``cayley_factor(A)``, which has already checked
+    stability, and ``F`` has one row per state. The dual equation is the
+    primal one for ``A^T``, whose factor is the transpose of every matrix
+    in ``factor``. The sum starts from ``G G^T`` with ``G = S F`` and
+    applies ``X <- X + T X T^T`` for each stored power ``T``; a factor of
+    width ``w`` stays a factor, ``[G, T G]``, while ``w`` is at most the
+    state count, and the remaining steps are dense. The result is
+    explicitly symmetrized and positive semidefinite.
+
+    The residual ``||A X + X A^T + F F^T||_F`` stays within
+    ``RESIDUAL_TOL * max(1, ||F F^T||_F)`` on the dense, well-damped
+    systems this package produces; stiff ones need not meet it, since the
+    Cayley transform loses about ``eps * cond(A - qI)``. ``check_residual``
+    tests the bound, and ``optimize`` runs it on both gramians at its
+    final point.
+
+    Raises
+    ------
+    ValueError
+        If ``F`` has the wrong number of rows or non-finite entries.
     """
-    dim = start.shape[0]
+    S, powers = _oriented(factor, dual)
+    F = np.asarray(F, dtype=float)
+    dim = S.shape[0]
+    if F.ndim != 2 or F.shape[0] != dim:
+        raise ValueError(f"F must have {dim} rows, got shape {F.shape}")
+    if not np.all(np.isfinite(F)):
+        raise ValueError("F contains non-finite entries")
+    width = F.shape[1]
     steps = 0
-    if factored:
-        width = start.shape[1]
-        while steps < len(powers) and width << steps <= dim:
-            steps += 1
-        # Rows of Gt are the columns of G, so each doubling fills a contiguous row block.
-        Gt = np.empty((width << steps, dim))
-        Gt[:width] = start.T
-        for T in powers[:steps]:
-            np.matmul(Gt[:width], T.T, out=Gt[width:2 * width])
-            width *= 2
-        X = Gt.T @ Gt
-    else:
-        X = start
+    while steps < len(powers) and width << steps <= dim:
+        steps += 1
+    # Rows of Gt are the columns of G, so each doubling fills a contiguous row block.
+    Gt = np.empty((width << steps, dim))
+    Gt[:width] = (S @ F).T
+    for T in powers[:steps]:
+        np.matmul(Gt[:width], T.T, out=Gt[width:2 * width])
+        width *= 2
+    X = Gt.T @ Gt
     TX = np.empty_like(X)
     TXT = np.empty_like(X)
     for T in powers[steps:]:
@@ -260,29 +270,6 @@ def _smith_sum(powers: Sequence[np.ndarray], start: np.ndarray, factored: bool) 
     np.add(X, X.T, out=TX)
     TX *= 0.5
     return TX
-
-
-def solve_factored(factor: CayleyFactor, F: np.ndarray, dual: bool = False) -> np.ndarray:
-    """Solve ``A X + X A^T + F F^T = 0``, or ``A^T X + X A + F F^T = 0`` when ``dual``.
-
-    ``factor`` is ``cayley_factor(A)`` and ``F`` has one row per state.
-    The dual equation is the primal one for ``A^T``, whose factor is the
-    transpose of every matrix in ``factor``. The result is explicitly
-    symmetrized.
-    """
-    S, powers = _oriented(factor, dual)
-    F = np.asarray(F, dtype=float)
-    if F.ndim != 2 or F.shape[0] != S.shape[0]:
-        raise ValueError(f"F must have {S.shape[0]} rows, got shape {F.shape}")
-    if not np.all(np.isfinite(F)):
-        raise ValueError("F contains non-finite entries")
-    return _smith_sum(powers, S @ F, factored=True)
-
-
-def _solve_dense(factor: CayleyFactor, W: np.ndarray, dual: bool) -> np.ndarray:
-    """``solve_factored`` for a dense symmetric ``W``: the sum starts from ``S W S^T``."""
-    S, powers = _oriented(factor, dual)
-    return _smith_sum(powers, S @ W @ S.T, factored=False)
 
 
 def check_residual(A: np.ndarray, X: np.ndarray, W: np.ndarray, name: str) -> None:
@@ -301,45 +288,3 @@ def check_residual(A: np.ndarray, X: np.ndarray, W: np.ndarray, name: str) -> No
             RuntimeWarning,
             stacklevel=3,
         )
-
-
-def solve_lyapunov(
-    A: np.ndarray, W: np.ndarray, W_dual: np.ndarray | None = None
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Solve ``A X + X A^T + W = 0`` and optionally ``A^T Y + Y A + W_dual = 0``.
-
-    Factors ``A`` once with ``cayley_factor``, which also checks
-    stability, and sums each series from the dense start ``S W S^T`` with
-    the same steps as ``solve_factored``; results are explicitly
-    symmetrized. The residual of each returned solution is checked by
-    ``check_residual``, and a ``RuntimeWarning`` naming the ratio is issued
-    when it misses ``RESIDUAL_TOL * max(1, ||W||_F)``. The dense,
-    well-damped systems this package produces meet the bound; stiff ones
-    need not, since the Cayley transform loses about ``eps * cond(A - qI)``.
-    ``X`` is positive semidefinite whenever ``W`` is.
-
-    Returns
-    -------
-    X, or (X, Y) when ``W_dual`` is given.
-
-    Raises
-    ------
-    StabilityError
-        If the spectral abscissa of ``A`` is above the stability margin,
-        in which case the equation has no meaningful solution and callers
-        must treat the operating point as infeasible.
-    ValueError
-        On non-square, non-finite, mismatched, or asymmetric inputs.
-    """
-    A = _as_square(A, "A")
-    W = _as_symmetric(W, "W", A.shape)
-    if W_dual is not None:
-        W_dual = _as_symmetric(W_dual, "W_dual", A.shape)
-    factor = cayley_factor(A)
-    X = _solve_dense(factor, W, dual=False)
-    check_residual(A, X, W, "W")
-    if W_dual is None:
-        return X
-    Y = _solve_dense(factor, W_dual, dual=True)
-    check_residual(A.T, Y, W_dual, "W_dual")
-    return X, Y

@@ -18,15 +18,16 @@ omega-row of ``A``, one diagonal entry of ``B B^T`` and ``C^T C``), so
 all 2n partials reduce to O(n) cheap contractions of ``P Q`` instead of
 2n extra Lyapunov solves.
 
-``eval_objective`` is the one evaluator: it factors ``A`` once (the Cayley
-transform and its repeated squares, with the damping block eliminated so
-that LAPACK sees only the (n-1)-square angle block) and solves for ``P``
-from the factor ``B`` of ``B B^T``, which gives J. ``Q`` and the gradient
-are solved from the same factor and ``C^T`` when one of them is first
-read, so a caller that only compares values (a rejected line-search
-trial) pays one factorization and one primal solve. At 199 states (a
-100-generator grid) J alone took 14-15 ms and the gradient read 8-9 ms;
-at 399 states, 90-97 and 57-59 ms (one BLAS thread, 2-core x86_64 VM).
+``eval_objective`` is the one evaluator: it factors ``A`` once with
+``cayley_factor`` (the Cayley transform and its repeated squares, with the
+damping block eliminated so that LAPACK sees only the (n-1)-square angle
+block), and ``solve_lyapunov`` sums ``P`` from that factor and the factor
+``B`` of ``B B^T``, which gives J. ``Q`` and the gradient are solved from
+the same factor and ``C^T`` when one of them is first read, so a caller
+that only compares values (a rejected line-search trial) pays one
+factorization and one primal solve. At 199 states (a 100-generator grid)
+J alone took 14-15 ms and the gradient read 8-9 ms; at 399 states, 90-97
+and 57-59 ms (one BLAS thread, 2-core x86_64 VM).
 """
 
 from __future__ import annotations
@@ -37,14 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-# solve_lyapunov is unused here but stays bound: perfbench/traced.py wraps it by name.
-from .lyapunov import (  # noqa: F401
-    CayleyFactor,
-    cayley_factor,
-    check_residual,
-    solve_factored,
-    solve_lyapunov,
-)
+from .lyapunov import CayleyFactor, cayley_factor, check_residual, solve_lyapunov
 from .netmodel import DeviceParams, ReducedNetwork, StateSpace, assemble_state_space
 
 
@@ -88,7 +82,7 @@ class ObjectiveEval:
 
     @cached_property
     def Q(self) -> np.ndarray:
-        return solve_factored(self.factor, self.ss.C.T, dual=True)
+        return solve_lyapunov(self.factor, self.ss.C.T, dual=True)
 
     @cached_property
     def _grad(self) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +146,7 @@ def eval_objective(
     """
     ss = assemble_state_space(net, params, ref_bus, eta=cfg.eta)
     factor = cayley_factor(ss.A)
-    P = solve_factored(factor, ss.B)
+    P = solve_lyapunov(factor, ss.B)
     J_h2 = float(np.trace(ss.C @ P @ ss.C.T))
     J_reg = float(cfg.beta * np.dot(params.m, params.m))
     return ObjectiveEval(

@@ -98,8 +98,9 @@ def optimize(
     first trial step is ``1/||r(alpha_0)||_inf`` and later ones the
     Barzilai-Borwein step (``STEP_CAP`` when ``s'y <= 0``). Termination:
     unit-step residual ``||r(alpha)||_2`` below
-    ``grad_tol * (1 + ||alpha_0||)``, the iteration cap, or the halved
-    step falling below ``STEP_FLOOR``.
+    ``grad_tol * (1 + ||alpha_mid||_2)``, with ``alpha_mid`` the box
+    midpoint, so that every start stops at the same tolerance; the
+    iteration cap; or the halved step falling below ``STEP_FLOOR``.
     """
     n = params.n
     lb = np.concatenate([params.m_lb, params.d_lb])
@@ -117,7 +118,7 @@ def optimize(
     def split(a: np.ndarray) -> DeviceParams:
         return params.with_design(a[:n], a[n:])
 
-    tol = dcfg.grad_tol * (1.0 + float(np.linalg.norm(alpha)))
+    tol = dcfg.grad_tol * (1.0 + float(np.linalg.norm(np.concatenate([mid_m, mid_d]))))
 
     ev = eval_objective(split(alpha), cfg, net, ref_bus)
     J = ev.J_total

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.linalg import solve_continuous_lyapunov
 
 import vsmtune as vt
 
@@ -68,13 +69,20 @@ def random_stable_system(rng, dim, n_in=None, n_out=None):
     return A, B, C
 
 
-def h2_value(ss):
-    """Squared H2 norm ``trace(C P C^T)`` of a realization, ``P`` from ``solve_lyapunov``.
+def gramians(ss):
+    """Controllability and observability gramians ``(P, Q)`` of a realization.
 
-    A test oracle for hand-built ``StateSpace``s, apart from the
-    package's one evaluator ``eval_objective``.
+    The tests' oracle: scipy's Bartels-Stewart solver, which shares no code
+    with the package's Cayley kernel.
     """
-    P = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T)
+    P = solve_continuous_lyapunov(ss.A, -ss.B @ ss.B.T)
+    Q = solve_continuous_lyapunov(ss.A.T, -ss.C.T @ ss.C)
+    return P, Q
+
+
+def h2_value(ss):
+    """Squared H2 norm ``trace(C P C^T)`` of a realization, ``P`` from ``gramians``."""
+    P, _ = gramians(ss)
     return float(np.trace(ss.C @ P @ ss.C.T))
 
 

@@ -3,8 +3,9 @@
 Each test implements one release criterion at its stated tolerance and
 prints a single PASS/FAIL line (run with ``pytest -s`` to see them on
 success). Expected values are analytic closed forms or independent
-oracles (hand-solved matrices, central finite differences, quadrature),
-never outputs of the code under test.
+oracles (hand-solved matrices, scipy's Bartels-Stewart Lyapunov solver,
+central finite differences, quadrature), never outputs of the code under
+test.
 """
 
 import time
@@ -20,10 +21,10 @@ from vsmtune import (
     optimize,
     project,
     simulate,
-    solve_lyapunov,
 )
+from vsmtune.lyapunov import cayley_factor, solve_lyapunov
 
-from conftest import h2_value, output_energy, random_stable_system, single_machine
+from conftest import gramians, h2_value, output_energy, random_stable_system, single_machine
 
 # Descent settings shared by the optimizer-based criteria: the library
 # default residual tolerance, verified explicitly after each run.
@@ -74,18 +75,18 @@ def central_differences(params, cfg, net, ref_bus):
 
 def test_criterion_1_lyapunov_oracle():
     with criterion(1, "Lyapunov solver vs hand-solved oracle", budget=10.0):
-        # Companion matrix A = [[0, 1], [-k, -c]] with W = diag(0, w). Solving
-        # by hand: the transposed orientation gives diag(kw/(2c), w/(2c)); the
-        # plain orientation gives diag(w/(2ck), w/(2c)).
+        # Companion matrix A = [[0, 1], [-k, -c]] with W = F F^T = diag(0, w).
+        # Solving by hand: the transposed orientation gives
+        # diag(kw/(2c), w/(2c)); the plain orientation gives diag(w/(2ck), w/(2c)).
         w = 1.0
+        F = np.array([[0.0], [np.sqrt(w)]])
         for k in (0.5, 1.0, 2.0):
             for c in (0.5, 1.0, 2.0):
-                A = np.array([[0.0, 1.0], [-k, -c]])
-                W = np.diag([0.0, w])
-                X_dual = solve_lyapunov(A.T, W)
+                factor = cayley_factor(np.array([[0.0, 1.0], [-k, -c]]))
+                X_dual = solve_lyapunov(factor, F, dual=True)
                 expect_dual = np.diag([k * w / (2 * c), w / (2 * c)])
                 assert np.max(np.abs(X_dual - expect_dual)) < 1e-10 * np.max(expect_dual)
-                X_primal = solve_lyapunov(A, W)
+                X_primal = solve_lyapunov(factor, F)
                 expect_primal = np.diag([w / (2 * c * k), w / (2 * c)])
                 assert np.max(np.abs(X_primal - expect_primal)) < 1e-10 * np.max(expect_primal)
 
@@ -94,7 +95,7 @@ def test_criterion_1_lyapunov_oracle():
             dim = int(rng.integers(1, 41))
             A, B, _ = random_stable_system(rng, dim)
             W = B @ B.T
-            X = solve_lyapunov(A, W)
+            X = solve_lyapunov(cayley_factor(A), B)
             residual = np.linalg.norm(A @ X + X @ A.T + W, "fro")
             assert residual <= 1e-8 * max(1.0, np.linalg.norm(W, "fro"))
 
@@ -105,14 +106,17 @@ def test_criterion_2_trace_duality(twelve_net, twelve_params):
         for _ in range(50):
             dim = int(rng.integers(2, 25))
             A, B, C = random_stable_system(rng, dim)
-            P = solve_lyapunov(A, B @ B.T)
-            Q = solve_lyapunov(A.T, C.T @ C)
+            factor = cayley_factor(A)
+            P = solve_lyapunov(factor, B)
+            Q = solve_lyapunov(factor, C.T, dual=True)
             left = float(np.trace(C @ P @ C.T))
             right = float(np.trace(B.T @ Q @ B))
             assert abs(left - right) <= 1e-10 * left
 
         ss = vt.assemble_state_space(twelve_net, twelve_params, 0)
-        P, Q = solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
+        factor = cayley_factor(ss.A)
+        P = solve_lyapunov(factor, ss.B)
+        Q = solve_lyapunov(factor, ss.C.T, dual=True)
         left = float(np.trace(ss.C @ P @ ss.C.T))
         right = float(np.trace(ss.B.T @ Q @ ss.B))
         assert abs(left - right) <= 1e-10 * left
@@ -141,7 +145,7 @@ def test_criterion_4_single_machine_closed_form():
             ss = vt.assemble_state_space(net, params, ref_bus=0)
             J = h2_value(ss)
             assert abs(J - 1.0 / (2 * (d_hat + d))) <= 1e-8 * J
-            P, Q = solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
+            P, Q = gramians(ss)
             grad_m, _ = vt.grad_h2(ss, params, P=P, Q=Q)
             assert abs(grad_m[0]) < 1e-8
 
@@ -228,7 +232,7 @@ def test_criterion_7_energy_consistency(two_bus, twelve_net, twelve_params):
     with criterion(7, "impulse energy matches the H2 channel", budget=60.0):
         net2, params2 = two_bus
         ss2 = vt.assemble_state_space(net2, params2, ref_bus=1)
-        _, Q2 = solve_lyapunov(ss2.A, ss2.B @ ss2.B.T, ss2.C.T @ ss2.C)
+        _, Q2 = gramians(ss2)
         channel = float(ss2.B[:, 0] @ Q2 @ ss2.B[:, 0])
         sim2 = simulate(ss2, Disturbance("impulse", 0, 1.0), horizon=40.0, dt=1e-3)
         energy = output_energy(sim2, params2)
@@ -236,7 +240,7 @@ def test_criterion_7_energy_consistency(two_bus, twelve_net, twelve_params):
 
         node = twelve_net.index_of(6)
         ss12 = vt.assemble_state_space(twelve_net, twelve_params, 0)
-        _, Q12 = solve_lyapunov(ss12.A, ss12.B @ ss12.B.T, ss12.C.T @ ss12.C)
+        _, Q12 = gramians(ss12)
         channel12 = float(ss12.B[:, node] @ Q12 @ ss12.B[:, node])
         sim12 = simulate(ss12, Disturbance("impulse", node, 1.0), horizon=40.0, dt=1e-3)
         energy12 = output_energy(sim12, twelve_params)

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -380,6 +381,19 @@ class TestCompare:
         variants = {r["variant"] for r in metrics}
         assert variants == {"d_max_m_min", "d_opt_m_opt", "d_max_m_max"}
 
+    def test_logs_each_variants_simulation_warnings(self, tmp_path, caplog):
+        assert run("optimize", "--grad-tol", 1e-2, "--out", tmp_path / "opt") == 0
+        caplog.clear()
+        assert run(
+            "compare", "--coeffs", tmp_path / "opt" / "coefficients.csv",
+            "--disturb-node", 1, "--horizon", 0.05, "--out", tmp_path / "cmp",
+        ) == 0
+        warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert sorted(warned) == [
+            f"{label}: some buses did not settle within the horizon"
+            for label in ("d_max_m_max", "d_max_m_min", "d_opt_m_opt")
+        ]
+
 
 class TestSweepBeta:
     def test_single_beta_matches_optimize_plus_simulate(self, tmp_path):
@@ -434,6 +448,17 @@ class TestSweepBeta:
         assert read_csv(tmp_path / "coefficients_b0.csv") == read_csv(
             opt_dir / "coefficients.csv"
         )
+
+    def test_logs_each_runs_simulation_warnings(self, tmp_path, caplog):
+        assert run(
+            "sweep-beta", "--betas=0,0.01", "--grad-tol", 1e-2,
+            "--disturb-node", 1, "--horizon", 0.05, "--out", tmp_path,
+        ) == 0
+        warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warned == [
+            f"beta={beta}: some buses did not settle within the horizon" for beta in ("0", "0.01")
+        ]
+        assert all(r["settle_time"] == "inf" for r in read_csv(tmp_path / "sweep.csv"))
 
     def test_unparseable_betas_exit_2(self, tmp_path):
         assert run("sweep-beta", "--betas", "a,b", "--disturb-node", 6,

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import vsmtune as vt
 from vsmtune import ObjectiveConfig, StateSpace
 
-from conftest import h2_value, random_connected_spec, single_machine
+from conftest import gramians, h2_value, random_connected_spec, single_machine
 
 
 def finite_difference_gradient(params, cfg, net, ref_bus):
@@ -40,7 +40,7 @@ class TestH2Norm:
     def test_duality_on_two_bus(self, two_bus):
         net, params = two_bus
         ss = vt.assemble_state_space(net, params, ref_bus=0)
-        P, Q = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
+        P, Q = gramians(ss)
         direct = h2_value(ss)
         dual = float(np.trace(ss.B.T @ Q @ ss.B))
         assert direct == pytest.approx(dual, rel=1e-10)
@@ -66,10 +66,13 @@ class TestH2Norm:
             ss = vt.assemble_state_space(net, params, ref_bus=0)
             assert h2_value(ss) == pytest.approx(1.0 / (2 * (d_hat + d)), rel=1e-12)
 
-    def test_propagates_stability_error(self):
-        ss = StateSpace(A=[[0.0]], B=[[1.0]], C=[[1.0]], ref_bus=0)
-        with pytest.raises(vt.StabilityError):
-            h2_value(ss)
+    def test_propagates_stability_error(self, two_bus):
+        # Two unconnected machines: their angle difference is undriven, so
+        # the grounded realization has a zero eigenvalue.
+        _, params = two_bus
+        net = vt.ReducedNetwork(gen_ids=(1, 2), L=np.zeros((2, 2)))
+        with pytest.raises(vt.StabilityError, match="not Hurwitz"):
+            vt.eval_objective(params, ObjectiveConfig(), net, 0)
 
 
 class TestGradH2:
@@ -77,7 +80,7 @@ class TestGradH2:
         for m_hat, d_hat in [(1.0, 1.0), (2.0, 0.5), (0.7, 1.8)]:
             net, params = single_machine(m_hat=m_hat, d_hat=d_hat, m=0.4, d=0.2)
             ss = vt.assemble_state_space(net, params, ref_bus=0)
-            P, Q = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
+            P, Q = gramians(ss)
             grad_m, grad_d = vt.grad_h2(ss, params, P=P, Q=Q)
             D = d_hat + 0.2
             assert grad_d[0] == pytest.approx(-1.0 / (2 * D**2), rel=1e-10)
@@ -113,7 +116,7 @@ class TestGradH2:
         eta = np.random.default_rng(6).random(twelve_net.n) if known_location else None
         p = interior_point(twelve_params, np.random.default_rng(5))
         ss = vt.assemble_state_space(twelve_net, p, 3, eta=eta)
-        P, Q = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
+        P, Q = gramians(ss)
         n, na, M = p.n, p.n - 1, p.m_total
         PQ, QB = P @ Q, Q @ ss.B
         ref_m, ref_d = np.empty(n), np.empty(n)
@@ -134,7 +137,7 @@ class TestGradH2:
         net, params = two_bus
         p = params.with_design([0.5, 0.5], [0.3, 0.3])
         ss = vt.assemble_state_space(net, p, ref_bus=0)
-        P, Q = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
+        P, Q = gramians(ss)
         grad_m, grad_d = vt.grad_h2(ss, p, P=P, Q=Q)
         assert grad_m[0] == pytest.approx(grad_m[1], rel=1e-9)
         assert grad_d[0] == pytest.approx(grad_d[1], rel=1e-9)
@@ -148,11 +151,10 @@ class TestEvalObjective:
         ss = vt.assemble_state_space(twelve_net, twelve_params, 0)
         grad_m, _ = vt.grad_h2(ss, twelve_params, P=ev.P, Q=ev.Q)
         assert np.array_equal(ev.grad_m, grad_m)
-        # The dense-W solver starts its sums from B B^T, the evaluation from B:
-        # the two agree to rounding.
-        P, Q = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
-        dense_grad_m, _ = vt.grad_h2(ss, twelve_params, P=P, Q=Q)
-        assert np.max(np.abs(ev.grad_m - dense_grad_m)) <= 1e-13 * np.max(np.abs(grad_m))
+        # Gradients from scipy's gramians agree to rounding.
+        P, Q = gramians(ss)
+        scipy_grad_m, _ = vt.grad_h2(ss, twelve_params, P=P, Q=Q)
+        assert np.max(np.abs(ev.grad_m - scipy_grad_m)) <= 1e-13 * np.max(np.abs(grad_m))
 
     def test_zero_m_kills_regularizer(self, twelve_net, twelve_params):
         p = twelve_params.with_design(np.zeros(twelve_params.n), twelve_params.d)
@@ -221,7 +223,7 @@ class TestEvalObjective:
         p = interior_point(twelve_params, np.random.default_rng(9))
         ev = vt.eval_objective(p, cfg, twelve_net, 2)
         ss = vt.assemble_state_space(twelve_net, p, 2, eta=eta)
-        P, Q = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
+        P, Q = gramians(ss)
         grad_m, grad_d = vt.grad_h2(ss, p, P=P, Q=Q)
         grad_m = grad_m + 2.0 * cfg.beta * p.m
         assert np.max(np.abs(ev.P - P)) <= 1e-13 * np.max(np.abs(P))

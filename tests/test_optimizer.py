@@ -164,6 +164,36 @@ class TestDefaultConvergence:
         assert res.iterations < 100
 
 
+class TestStopTolerance:
+    @pytest.mark.parametrize("corner", [0.0, 1.0], ids=["lower", "upper"])
+    def test_same_tolerance_from_any_start(self, corner, twelve_net, twelve_params):
+        # The stop test scales grad_tol by the box midpoint, not the start: a
+        # run from either corner stops at the first iterate whose KKT residual
+        # is within grad_tol * (1 + ||alpha_mid||), as a midpoint start would.
+        p = twelve_params
+        lb = np.concatenate([p.m_lb, p.d_lb])
+        ub = np.concatenate([p.m_ub, p.d_ub])
+        tol = 1e-6 * (1 + np.linalg.norm(np.concatenate(p.box_midpoint())))
+        cfg = ObjectiveConfig()
+
+        def run(max_iter):
+            res = optimize(twelve_net, p, cfg, DescentConfig(
+                max_iter=max_iter,
+                init_m=p.m_lb + corner * (p.m_ub - p.m_lb),
+                init_d=p.d_lb + corner * (p.d_ub - p.d_lb),
+            ))
+            ev = vt.eval_objective(p.with_design(res.m_star, res.d_star), cfg, twelve_net, 0)
+            alpha = np.concatenate([res.m_star, res.d_star])
+            grad = np.concatenate([ev.grad_m, ev.grad_d])
+            return res, np.linalg.norm(alpha - project(alpha - grad, lb, ub))
+
+        res, residual = run(5000)
+        assert res.converged
+        assert residual <= tol
+        _, residual_before = run(res.iterations - 1)
+        assert residual_before > tol
+
+
 class TestEvaluationCost:
     def test_one_schur_factorization_per_evaluation(self, monkeypatch, twelve_net, twelve_params):
         counts = {"factor": 0, "eval": 0, "eigvals": 0}
@@ -223,13 +253,13 @@ class TestFinalResidualCheck:
     def test_warns_on_a_kernel_regression(self, monkeypatch, twelve_net, twelve_params):
         # A dual solve that is off by 1e-6 relative leaves J and its path
         # almost unchanged; only the residual at the final point shows it.
-        solve_factored = objective_module.solve_factored
+        solve_lyapunov = objective_module.solve_lyapunov
 
         def skewed(factor, F, dual=False):
-            X = solve_factored(factor, F, dual=dual)
+            X = solve_lyapunov(factor, F, dual=dual)
             return X * (1.0 + 1e-6) if dual else X
 
-        monkeypatch.setattr(objective_module, "solve_factored", skewed)
+        monkeypatch.setattr(objective_module, "solve_lyapunov", skewed)
         with pytest.warns(RuntimeWarning, match=r"Lyapunov residual for Q is .* times its bound"):
             optimize(twelve_net, twelve_params, ObjectiveConfig(), DescentConfig(max_iter=3))
 
@@ -255,11 +285,11 @@ class TestLazyDualSolve:
                 return fn(*args, **kwargs)
             return wrapper
 
-        solve_factored = objective_module.solve_factored
+        solve_lyapunov = objective_module.solve_lyapunov
 
-        def counting_dual(factor, W, dual=False):
+        def counting_dual(factor, F, dual=False):
             counts["dual"] += dual
-            return solve_factored(factor, W, dual=dual)
+            return solve_lyapunov(factor, F, dual=dual)
 
         monkeypatch.setattr(
             objective_module, "cayley_factor", counting("factor", objective_module.cayley_factor)
@@ -267,7 +297,7 @@ class TestLazyDualSolve:
         monkeypatch.setattr(
             optimizer_module, "eval_objective", counting("eval", optimizer_module.eval_objective)
         )
-        monkeypatch.setattr(objective_module, "solve_factored", counting_dual)
+        monkeypatch.setattr(objective_module, "solve_lyapunov", counting_dual)
         res = optimize(net, params, ObjectiveConfig(), DescentConfig())
         assert res.converged
         assert counts["eval"] > res.iterations + 1

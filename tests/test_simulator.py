@@ -9,7 +9,7 @@ import pytest
 import vsmtune as vt
 from vsmtune import Disturbance, compare_designs, simulate
 
-from conftest import output_energy, random_connected_spec, single_machine
+from conftest import gramians, output_energy, random_connected_spec, single_machine
 
 
 @pytest.fixture
@@ -54,7 +54,7 @@ class TestSimulateNetwork:
     def test_energy_matches_h2_channel_two_bus(self, two_bus):
         net, params = two_bus
         ss = vt.assemble_state_space(net, params, ref_bus=1)
-        _, Q = vt.solve_lyapunov(ss.A, ss.B @ ss.B.T, ss.C.T @ ss.C)
+        _, Q = gramians(ss)
         channel = float(ss.B[:, 0] @ Q @ ss.B[:, 0])
         res = simulate(ss, Disturbance("impulse", 0, 1.0), horizon=40.0, dt=1e-3)
         energy = output_energy(res, params)
@@ -62,8 +62,7 @@ class TestSimulateNetwork:
 
     def test_energy_matches_h2_channel_twelve_bus(self, twelve_net, twelve_params, twelve_ss):
         node = twelve_net.index_of(6)
-        A, B, C = twelve_ss.A, twelve_ss.B, twelve_ss.C
-        _, Q = vt.solve_lyapunov(A, B @ B.T, C.T @ C)
+        _, Q = gramians(twelve_ss)
         channel = float(twelve_ss.B[:, node] @ Q @ twelve_ss.B[:, node])
         res = simulate(twelve_ss, Disturbance("impulse", node, 1.0), horizon=40.0, dt=1e-3)
         assert output_energy(res, twelve_params) == pytest.approx(channel, rel=1e-4)
