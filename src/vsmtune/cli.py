@@ -70,52 +70,28 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     log.info("wrote %s", path)
 
 
-class _Context:
-    """Everything derived from the network file that commands share."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.doc: NetworkDocument = load_network(args.network)
-        self.net: ReducedNetwork = reduce_network(self.doc.spec)
-        self.params: DeviceParams = device_params(self.doc, self.net.gen_ids, args.bounds)
-        ref_id = args.ref_bus if args.ref_bus is not None else self.doc.ref_bus
-        if ref_id is None:
-            ref_id = self.net.gen_ids[0]
-        self.ref_index = self.net.index_of(ref_id)
-        self.ref_id = ref_id
+def _floats(text: str, flag: str) -> list[float]:
+    if not text:
+        raise ConfigurationError(f"{flag} requires at least one value")
+    try:
+        values = [float(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot parse {flag}: {exc}") from exc
+    if not all(np.isfinite(values)):
+        raise ConfigurationError(f"{flag} must be finite numbers, got {text!r}")
+    return values
 
 
 def _parse_bounds(text: str) -> dict[str, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
+    if text.count(",") != 3:
         raise ConfigurationError("--bounds expects 'm_lb,m_ub,d_lb,d_ub'")
-    try:
-        values = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigurationError(f"cannot parse --bounds: {exc}") from exc
-    if not all(np.isfinite(values)):
-        raise ConfigurationError(f"--bounds must be finite numbers, got {text!r}")
-    return dict(zip(["m_lb", "m_ub", "d_lb", "d_ub"], values))
-
-
-def _parse_betas(text: str) -> list[float]:
-    if not text:
-        raise ConfigurationError("--betas requires at least one value")
-    try:
-        betas = [float(b) for b in text.split(",")]
-    except ValueError as exc:
-        raise ConfigurationError(f"cannot parse --betas: {exc}") from exc
-    if not all(np.isfinite(betas)):
-        raise ConfigurationError(f"--betas must be finite numbers, got {text!r}")
-    return betas
+    return dict(zip(["m_lb", "m_ub", "d_lb", "d_ub"], _floats(text, "--bounds")))
 
 
 def _seed_point(text: str | None, params: DeviceParams) -> tuple[np.ndarray | None, np.ndarray | None]:
     if text is None:
         return None, None
-    try:
-        parts = [float(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise ConfigurationError(f"cannot parse --seed-point: {exc}") from exc
+    parts = _floats(text, "--seed-point")
     n = params.n
     if len(parts) == 1:
         lam = parts[0]
@@ -128,16 +104,6 @@ def _seed_point(text: str | None, params: DeviceParams) -> tuple[np.ndarray | No
         return np.asarray(parts[:n]), np.asarray(parts[n:])
     raise ConfigurationError(
         f"--seed-point expects one interpolation fraction or {2 * n} comma-separated values"
-    )
-
-
-def _disturbance(args: argparse.Namespace, ctx: _Context) -> Disturbance:
-    if args.disturb_node is None:
-        raise ConfigurationError("--disturb-node is required for this command")
-    return Disturbance(
-        kind=args.disturb_kind,
-        node=ctx.net.index_of(args.disturb_node),
-        magnitude=args.magnitude,
     )
 
 
@@ -169,6 +135,53 @@ def _load_coeffs(path: Path, gen_ids: tuple[int, ...]) -> tuple[np.ndarray, np.n
     m = np.array([by_id[g][0] for g in gen_ids])
     d = np.array([by_id[g][1] for g in gen_ids])
     return m, d
+
+
+class _Context:
+    """The network and every flag one command reads, checked before any work.
+
+    ``_resolve_args`` has parsed the flags that need no network; this checks
+    the rest against the loaded network, so that an input error exits 2
+    before anything is optimized, simulated or written. An attribute that
+    the command does not read is None, and the flags behind it go unchecked:
+
+    - ``design``: the ``--coeffs`` design;
+    - ``dist``: for ``simulate``, ``compare`` and ``sweep-beta``, the disturbance
+      at the required generator ``--disturb-node``, on a grid ``sample_buffer`` accepts;
+    - ``dcfg``, ``eta``: for ``optimize``, ``sweep-beta`` and ``compare`` without
+      ``--coeffs``, the descent settings and the single-channel direction.
+    """
+
+    def __init__(self, args: argparse.Namespace):
+        self.doc: NetworkDocument = load_network(args.network)
+        self.net: ReducedNetwork = reduce_network(self.doc.spec)
+        self.params: DeviceParams = device_params(self.doc, self.net.gen_ids, args.bounds)
+        self.ref_id = args.ref_bus if args.ref_bus is not None else self.doc.ref_bus
+        if self.ref_id is None:
+            self.ref_id = self.net.gen_ids[0]
+        self.ref_index = self.net.index_of(self.ref_id)
+        coeffs = getattr(args, "coeffs", None)
+        self.design: DeviceParams | None = None
+        if coeffs is not None:
+            self.design = self.params.with_design(*_load_coeffs(coeffs, self.net.gen_ids))
+        node_id = getattr(args, "disturb_node", None)
+        node = None if node_id is None else self.net.index_of(node_id)
+        self.dist: Disturbance | None = None
+        if hasattr(args, "horizon"):
+            if node is None:
+                raise ConfigurationError("--disturb-node is required for this command")
+            self.dist = Disturbance(args.disturb_kind, node, args.magnitude)
+            sample_buffer(args.horizon, args.dt, 2 * self.net.n - 1)
+        self.dcfg: DescentConfig | None = None
+        self.eta: np.ndarray | None = None
+        if hasattr(args, "max_iter") and coeffs is None:
+            # optimize has no --known-location: its --disturb-node alone selects the model.
+            if getattr(args, "known_location", node is not None):
+                self.eta = np.eye(self.net.n)[node]
+            init_m, init_d = _seed_point(args.seed_point, self.params)
+            self.dcfg = DescentConfig(
+                max_iter=args.max_iter, grad_tol=args.grad_tol, init_m=init_m, init_d=init_d
+            )
 
 
 def _metrics_rows(gen_ids, result: SimResult, prefix: tuple = ()):
@@ -215,22 +228,9 @@ def _write_coefficients(path: Path, ctx: _Context, m: np.ndarray, d: np.ndarray)
     _write_csv(path, header, rows)
 
 
-def _run_optimizer(
-    args: argparse.Namespace, ctx: _Context, beta: float, known_location: bool
-) -> tuple[OptResult, ObjectiveConfig]:
-    eta = None
-    if known_location:
-        if args.disturb_node is None:
-            raise ConfigurationError("--known-location requires --disturb-node")
-        eta = np.zeros(ctx.net.n)
-        eta[ctx.net.index_of(args.disturb_node)] = 1.0
-    obj = ObjectiveConfig(beta=beta, eta=eta)
-    init_m, init_d = _seed_point(args.seed_point, ctx.params)
-    dcfg = DescentConfig(
-        max_iter=args.max_iter, grad_tol=args.grad_tol, init_m=init_m, init_d=init_d
-    )
-    result = optimize(ctx.net, ctx.params, obj, dcfg, ref_bus=ctx.ref_index)
-    return result, obj
+def _run_optimizer(ctx: _Context, beta: float) -> OptResult:
+    obj = ObjectiveConfig(beta=beta, eta=ctx.eta)
+    return optimize(ctx.net, ctx.params, obj, ctx.dcfg, ref_bus=ctx.ref_index)
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
@@ -255,10 +255,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     ctx = _Context(args)
-    # A stated disturbance location switches to the single-channel model.
-    result, obj = _run_optimizer(
-        args, ctx, args.beta, known_location=args.disturb_node is not None
-    )
+    result = _run_optimizer(ctx, args.beta)
     _write_coefficients(args.out / "coefficients.csv", ctx, result.m_star, result.d_star)
     _write_csv(
         args.out / "convergence.csv",
@@ -272,7 +269,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         [(
             args.beta,
             ctx.ref_id,
-            "known_location" if obj.eta is not None else "unknown_location",
+            "known_location" if ctx.eta is not None else "unknown_location",
             result.iterations,
             result.converged,
             result.termination_reason.value,
@@ -287,20 +284,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _params_for_simulation(args: argparse.Namespace, ctx: _Context) -> DeviceParams:
-    if args.coeffs is not None:
-        m, d = _load_coeffs(args.coeffs, ctx.net.gen_ids)
-        return ctx.params.with_design(m, d)
-    # No explicit design: fall back to the lower bounds (minimal virtual support).
-    return ctx.params.with_design(ctx.params.m_lb, ctx.params.d_lb)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     ctx = _Context(args)
-    params = _params_for_simulation(args, ctx)
-    dist = _disturbance(args, ctx)
+    # No --coeffs: the lower bounds (minimal virtual support).
+    params = ctx.design or ctx.params.with_design(ctx.params.m_lb, ctx.params.d_lb)
     ss = assemble_state_space(ctx.net, params, ctx.ref_index)
-    result = simulate(ss, dist, horizon=args.horizon, dt=args.dt)
+    result = simulate(ss, ctx.dist, horizon=args.horizon, dt=args.dt)
     for note in result.warnings:
         log.warning("%s", note)
     _write_trajectory(args.out / "trajectory.csv", ctx.net.gen_ids, result)
@@ -309,29 +298,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ["bus", "rocof_max", "nadir", "settle_time", "omega_ss"],
         _metrics_rows(ctx.net.gen_ids, result),
     )
-    print(f"simulate: {dist.kind} of {dist.magnitude} p.u. at bus {args.disturb_node}, "
+    print(f"simulate: {ctx.dist.kind} of {ctx.dist.magnitude} p.u. at bus {args.disturb_node}, "
           f"horizon {args.horizon}s")
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     ctx = _Context(args)
-    if args.coeffs is not None:
-        m_opt, d_opt = _load_coeffs(args.coeffs, ctx.net.gen_ids)
-    else:
-        # Refuse an unusable --horizon/--dt before optimizing.
-        sample_buffer(args.horizon, args.dt, 2 * ctx.net.n - 1)
-        result, _ = _run_optimizer(args, ctx, args.beta, known_location=args.known_location)
-        m_opt, d_opt = result.m_star, result.d_star
     p = ctx.params
+    design = ctx.design
+    if design is None:
+        result = _run_optimizer(ctx, args.beta)
+        design = p.with_design(result.m_star, result.d_star)
     variants = [
         ("d_max_m_min", p.with_design(p.m_lb, p.d_ub)),
-        ("d_opt_m_opt", p.with_design(m_opt, d_opt)),
+        ("d_opt_m_opt", design),
         ("d_max_m_max", p.with_design(p.m_ub, p.d_ub)),
     ]
-    dist = _disturbance(args, ctx)
     results = compare_designs(
-        ctx.net, variants, dist, horizon=args.horizon, dt=args.dt, ref_bus=ctx.ref_index
+        ctx.net, variants, ctx.dist, horizon=args.horizon, dt=args.dt, ref_bus=ctx.ref_index
     )
     metric_rows = []
     for label, res in results:
@@ -350,18 +335,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_sweep_beta(args: argparse.Namespace) -> int:
     ctx = _Context(args)
-    dist = _disturbance(args, ctx)
-    # Refuse an unusable --horizon/--dt before the first optimization.
-    sample_buffer(args.horizon, args.dt, 2 * ctx.net.n - 1)
-    node = dist.node
+    node = ctx.dist.node
     rows = []
     for k, beta in enumerate(args.betas):
-        # Only a run's own dynamics fail one row; input errors end the sweep with exit 2.
+        # Only a run's own dynamics fail one row; _Context has checked every input.
         try:
-            result, _ = _run_optimizer(args, ctx, beta, known_location=args.known_location)
+            result = _run_optimizer(ctx, beta)
             params = ctx.params.with_design(result.m_star, result.d_star)
             ss = assemble_state_space(ctx.net, params, ctx.ref_index)
-            sim = simulate(ss, dist, horizon=args.horizon, dt=args.dt)
+            sim = simulate(ss, ctx.dist, horizon=args.horizon, dt=args.dt)
             for note in sim.warnings:
                 log.warning("beta=%g: %s", beta, note)
             _write_coefficients(
@@ -462,7 +444,7 @@ def _resolve_args(args: argparse.Namespace) -> argparse.Namespace:
     if hasattr(args, "coeffs"):
         args.coeffs = Path(args.coeffs) if args.coeffs else None
     if hasattr(args, "betas"):
-        args.betas = _parse_betas(args.betas)
+        args.betas = _floats(args.betas, "--betas")
     return args
 
 

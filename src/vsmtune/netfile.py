@@ -53,9 +53,12 @@ def _require(mapping: dict, key: str, context: str):
 def _convert(value, kind, key: str, context: str):
     """``kind(value)``, or a ValidationError naming the entry and the key.
 
-    A fractional number given for an ``int`` is rejected, not truncated; so is a non-finite float.
+    Only JSON numbers convert: a boolean or a string is rejected, a fractional
+    number given for an ``int`` is not truncated, and a non-finite float fails.
     """
     try:
+        if isinstance(value, (bool, str)):
+            raise TypeError(value)
         converted = kind(value)
         if kind is int and isinstance(value, float) and converted != value:
             raise ValueError(value)

@@ -173,7 +173,6 @@ class StateSpace:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    ref_bus: int
     eta: np.ndarray | None = None
 
     def __post_init__(self):
@@ -388,4 +387,4 @@ def assemble_state_space(
     C = np.zeros((n, dim))
     C[:, na:] = np.diag(np.sqrt(M))
 
-    return StateSpace(A=A, B=B, C=C, ref_bus=int(ref_bus), eta=eta)
+    return StateSpace(A=A, B=B, C=C, eta=eta)

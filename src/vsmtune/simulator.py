@@ -66,7 +66,6 @@ class SimResult:
     nadir: np.ndarray
     settle_time: np.ndarray
     omega_ss: np.ndarray
-    settle_band: np.ndarray
     warnings: tuple[str, ...] = ()
 
 
@@ -118,9 +117,9 @@ def sample_buffer(horizon: float, dt: float, dim: int) -> np.ndarray:
 
     ``dt`` and ``horizon`` must be finite, ``dt`` positive, ``horizon`` at
     least 20 steps long, and the samples must fit in memory; a
-    ``ValidationError`` names the violated condition. Commands that run an
-    optimization before simulating call it first, so that a bad grid
-    fails before any work.
+    ``ValidationError`` names the violated condition. The CLI calls it
+    before a command optimizes or simulates, so that a bad grid fails
+    before any work.
     """
     if not (np.isfinite(dt) and np.isfinite(horizon)):
         raise ValidationError(f"dt and horizon must be finite, got dt={dt}, horizon={horizon}")
@@ -215,7 +214,6 @@ def simulate(
         nadir=nadir,
         settle_time=settle,
         omega_ss=omega_ss,
-        settle_band=band,
         warnings=tuple(warnings),
     )
 

@@ -12,11 +12,34 @@ import pytest
 import vsmtune as vt
 import vsmtune.cli as cli
 import vsmtune.optimizer as optimizer_module
+import vsmtune.simulator as simulator_module
 from vsmtune import StabilityError, bundled_network_path
 
 
 def run(*args) -> int:
     return cli.main([str(a) for a in args])
+
+
+def _bad_input_matrix():
+    """Each bad input, given to every command that takes its flag."""
+    simulating = ["simulate", "compare", "sweep-beta"]
+    optimizing = ["optimize", "compare", "sweep-beta"]
+    cases = [
+        ("no-disturb-node", [], simulating),
+        ("--disturb-node-3", ["--disturb-node", "3"], ["optimize"] + simulating),
+        ("--magnitude-nan", ["--magnitude", "nan"], simulating),
+        ("--horizon-1e300", ["--horizon", "1e300"], simulating),
+        ("--dt-nan", ["--dt", "nan"], simulating),
+        ("--max-iter-0", ["--max-iter", "0"], optimizing),
+        ("--seed-point-2", ["--seed-point", "2"], optimizing),
+        ("--seed-point-nan", ["--seed-point", "nan"], optimizing),
+    ]
+    for case, bad, commands in cases:
+        for command in commands:
+            argv = [command] + (["--betas=0,0.1"] if command == "sweep-beta" else [])
+            if case != "no-disturb-node":
+                argv += ["--disturb-node", "1"]  # a later --disturb-node in bad overrides it
+            yield pytest.param(argv + bad, id=f"{case}-{command}")
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -332,7 +355,7 @@ class TestTrajectoryWriter:
         omega = np.array([specials, specials[::-1], np.linspace(-1.0, 1.0, len(specials))])
         result = vt.SimResult(
             t=t, omega=omega, rocof_max=np.zeros(3), nadir=np.zeros(3),
-            settle_time=np.zeros(3), omega_ss=np.zeros(3), settle_band=np.zeros(3),
+            settle_time=np.zeros(3), omega_ss=np.zeros(3),
         )
         gen_ids = (1, 4, 12)
         self.per_value_reference(tmp_path / "reference.csv", gen_ids, result)
@@ -359,7 +382,7 @@ class TestTrajectoryWriter:
         omega[1, ::7] = -0.0
         result = vt.SimResult(
             t=np.arange(n_rows) * 1e-3, omega=omega, rocof_max=np.zeros(2), nadir=np.zeros(2),
-            settle_time=np.zeros(2), omega_ss=np.zeros(2), settle_band=np.zeros(2),
+            settle_time=np.zeros(2), omega_ss=np.zeros(2),
         )
         self.per_value_reference(tmp_path / "reference.csv", (2, 9), result)
         cli._write_trajectory(tmp_path / "trajectory.csv", (2, 9), result)
@@ -489,26 +512,29 @@ class TestSweepBeta:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("command", [
-        ["sweep-beta", "--betas=0,0.1"],
-        ["compare"],
-    ], ids=["sweep-beta", "compare"])
-    @pytest.mark.parametrize("flag, value", [("--horizon", "1e300"), ("--dt", "nan")])
-    def test_bad_time_grid_exit_2_before_any_evaluation(self, command, flag, value, tmp_path,
-                                                        monkeypatch, capsys):
+    @pytest.mark.parametrize("argv", _bad_input_matrix())
+    def test_bad_time_grid_exit_2_before_any_evaluation(self, argv, tmp_path, monkeypatch,
+                                                        capsys):
+        # Covers every command, not only sweep-beta: bad input exits 2 before any work.
         calls = []
-        eval_objective = optimizer_module.eval_objective
 
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return eval_objective(*args, **kwargs)
+        def counting(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(optimizer_module, "eval_objective", counting)
-        assert run(*command, "--disturb-node", 1, flag, value, "--out", tmp_path) == 2
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(optimizer_module, "eval_objective")
+        counting(cli, "simulate")
+        counting(simulator_module, "simulate")
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert calls == []
-        assert not (tmp_path / "sweep.csv").exists()
-        assert not (tmp_path / "metrics.csv").exists()
+        assert not out.exists()
 
     def test_unstable_run_fails_its_row_only(self, tmp_path, monkeypatch, capsys):
         real_optimize = cli.optimize

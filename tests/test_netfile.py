@@ -149,6 +149,16 @@ class TestMalformedValues:
                      r"defaults: 'm_ub' must be a number", id="defaults-m_ub"),
         pytest.param(lambda d: d["defaults"].update(ref_bus="x"),
                      r"defaults: 'ref_bus' must be an integer", id="defaults-ref_bus"),
+        pytest.param(lambda d: d["buses"][0].update(m_hat=True),
+                     r"bus 1: 'm_hat' must be a number, got True", id="bus-m_hat-bool"),
+        pytest.param(lambda d: d["buses"][0].update(id=True),
+                     r"bus entry 0: 'id' must be an integer, got True", id="bus-id-bool"),
+        pytest.param(lambda d: d["lines"][0].update(b="6.0"),
+                     r"line entry 0: 'b' must be a number, got '6\.0'", id="line-b-numeric-string"),
+        pytest.param(lambda d: d["lines"][0].update(to="2"),
+                     r"line entry 0: 'to' must be an integer, got '2'", id="line-to-numeric-string"),
+        pytest.param(lambda d: d["defaults"].update(ref_bus=False),
+                     r"defaults: 'ref_bus' must be an integer, got False", id="defaults-ref_bus-bool"),
         pytest.param(lambda d: d.update(buses=5),
                      r"'buses' must be a list, got 5", id="buses-not-list"),
         pytest.param(lambda d: d.update(lines=[3]),

@@ -34,7 +34,7 @@ def interior_point(params, rng):
 
 class TestH2Norm:
     def test_scalar_first_order_system(self):
-        ss = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]], ref_bus=0)
+        ss = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
         assert h2_value(ss) == pytest.approx(0.5, rel=1e-12)
 
     def test_duality_on_two_bus(self, two_bus):
@@ -56,7 +56,6 @@ class TestH2Norm:
             A=[[0.0, 1.0], [-k / mass, -c / mass]],
             B=[[0.0], [1.0 / mass]],
             C=[[0.0, np.sqrt(mass)]],
-            ref_bus=0,
         )
         assert h2_value(ss) == pytest.approx(0.5, rel=1e-10)
 

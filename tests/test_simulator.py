@@ -235,8 +235,7 @@ class TestSimulateValidation:
             simulate(twelve_ss, Disturbance("step", 99, 0.1), horizon=1.0, dt=1e-3)
 
     def test_rejects_unstable_system(self):
-        ss = vt.StateSpace(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]],
-                           C=[[0.0, 1.0]], ref_bus=0)
+        ss = vt.StateSpace(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], C=[[0.0, 1.0]])
         with pytest.raises(vt.StabilityError):
             simulate(ss, Disturbance("step", 0, 0.1), horizon=1.0, dt=1e-3)
 
