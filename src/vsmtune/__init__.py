@@ -41,7 +41,7 @@ from .objective import (
     grad_h2,
     objective_value,
 )
-from .optimizer import DescentConfig, OptResult, TerminationReason, optimize, project
+from .optimizer import DescentConfig, OptResult, TerminationReason, optimize
 from .simulator import Disturbance, SimResult, compare_designs, simulate
 
 __version__ = "0.1.0"
@@ -78,7 +78,6 @@ __all__ = [
     "objective_value",
     "optimize",
     "parse_network",
-    "project",
     "reduce_network",
     "serialize_network",
     "simulate",

@@ -88,23 +88,26 @@ def _parse_bounds(text: str) -> dict[str, float]:
     return dict(zip(["m_lb", "m_ub", "d_lb", "d_ub"], _floats(text, "--bounds")))
 
 
-def _seed_point(text: str | None, params: DeviceParams) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _seed_point(text: str | None, params: DeviceParams) -> DeviceParams:
+    """``params`` with the ``--seed-point`` design, or ``params`` itself without the flag."""
     if text is None:
-        return None, None
+        return params
     parts = _floats(text, "--seed-point")
     n = params.n
     if len(parts) == 1:
         lam = parts[0]
         if not 0.0 <= lam <= 1.0:
             raise ConfigurationError("--seed-point fraction must lie in [0, 1]")
-        m0 = params.m_lb + lam * (params.m_ub - params.m_lb)
-        d0 = params.d_lb + lam * (params.d_ub - params.d_lb)
-        return m0, d0
-    if len(parts) == 2 * n:
-        return np.asarray(parts[:n]), np.asarray(parts[n:])
-    raise ConfigurationError(
-        f"--seed-point expects one interpolation fraction or {2 * n} comma-separated values"
-    )
+        return params.with_design(params.m_lb + lam * (params.m_ub - params.m_lb),
+                                  params.d_lb + lam * (params.d_ub - params.d_lb))
+    if len(parts) != 2 * n:
+        raise ConfigurationError(
+            f"--seed-point expects one interpolation fraction or {2 * n} comma-separated values"
+        )
+    try:
+        return params.with_design(parts[:n], parts[n:])
+    except ParameterError as exc:
+        raise ConfigurationError(f"--seed-point lies outside the coefficient box: {exc}") from exc
 
 
 def _load_coeffs(path: Path, gen_ids: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -150,6 +153,9 @@ class _Context:
       at the required generator ``--disturb-node``, on a grid ``sample_buffer`` accepts;
     - ``dcfg``, ``eta``: for ``optimize``, ``sweep-beta`` and ``compare`` without
       ``--coeffs``, the descent settings and the single-channel direction.
+
+    ``params`` holds the coefficient box. When ``dcfg`` is set, its design is
+    the ``--seed-point`` start, the box midpoint without that flag.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -178,10 +184,8 @@ class _Context:
             # optimize has no --known-location: its --disturb-node alone selects the model.
             if getattr(args, "known_location", node is not None):
                 self.eta = np.eye(self.net.n)[node]
-            init_m, init_d = _seed_point(args.seed_point, self.params)
-            self.dcfg = DescentConfig(
-                max_iter=args.max_iter, grad_tol=args.grad_tol, init_m=init_m, init_d=init_d
-            )
+            self.params = _seed_point(args.seed_point, self.params)
+            self.dcfg = DescentConfig(max_iter=args.max_iter, grad_tol=args.grad_tol)
 
 
 def _metrics_rows(gen_ids, result: SimResult, prefix: tuple = ()):
@@ -458,8 +462,9 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("VSMTUNE_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # Only a name that logging binds to an int is a level; BASIC_FORMAT is a format string.
+    level = getattr(logging, os.environ.get("VSMTUNE_LOG", "warning").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

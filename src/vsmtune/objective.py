@@ -25,9 +25,7 @@ block), and ``solve_lyapunov`` sums ``P`` from that factor and the factor
 ``B`` of ``B B^T``, which gives J. ``Q`` and the gradient are solved from
 the same factor and ``C^T`` when one of them is first read, so a caller
 that only compares values (a rejected line-search trial) pays one
-factorization and one primal solve. At 199 states (a 100-generator grid)
-J alone took 14-15 ms and the gradient read 8-9 ms; at 399 states, 90-97
-and 57-59 ms (one BLAS thread, 2-core x86_64 VM).
+factorization and one primal solve.
 """
 
 from __future__ import annotations

@@ -47,12 +47,10 @@ class TerminationReason(str, enum.Enum):
 
 @dataclass(frozen=True)
 class DescentConfig:
-    """Termination settings and optional starting point for the descent loop."""
+    """Termination settings for the descent loop, which starts from ``params``' design."""
 
     max_iter: int = 5000
     grad_tol: float = 1e-6
-    init_m: np.ndarray | None = None
-    init_d: np.ndarray | None = None
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -73,16 +71,6 @@ class OptResult:
     termination_reason: TerminationReason
 
 
-def project(alpha: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Componentwise clamp of ``alpha`` to ``[lb, ub]``; idempotent."""
-    alpha = np.asarray(alpha, dtype=float)
-    lb = np.asarray(lb, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-    if np.any(lb > ub):
-        raise ConfigurationError("projection box has lb > ub in some component")
-    return np.clip(alpha, lb, ub)
-
-
 def optimize(
     net: ReducedNetwork,
     params: DeviceParams,
@@ -92,8 +80,8 @@ def optimize(
 ) -> OptResult:
     """Minimize the regularized H2 objective over the coefficient box.
 
-    The starting point is ``(dcfg.init_m, dcfg.init_d)`` when given and
-    the box midpoint otherwise; it must lie inside the box and yield
+    The starting point is the design ``(params.m, params.d)``, which
+    ``DeviceParams`` has already checked against the box; it must yield
     Hurwitz dynamics. With ``r(alpha) = alpha - Proj[alpha - grad J]``, the
     first trial step is ``1/||r(alpha_0)||_inf`` and later ones the
     Barzilai-Borwein step (``STEP_CAP`` when ``s'y <= 0``). Termination:
@@ -105,22 +93,11 @@ def optimize(
     n = params.n
     lb = np.concatenate([params.m_lb, params.d_lb])
     ub = np.concatenate([params.m_ub, params.d_ub])
+    alpha = np.concatenate([params.m, params.d])
 
-    mid_m, mid_d = params.box_midpoint()
-    m0 = np.asarray(dcfg.init_m, dtype=float) if dcfg.init_m is not None else mid_m
-    d0 = np.asarray(dcfg.init_d, dtype=float) if dcfg.init_d is not None else mid_d
-    if m0.shape != (n,) or d0.shape != (n,):
-        raise ConfigurationError("starting point has wrong dimension")
-    alpha = np.concatenate([m0, d0])
-    if np.any(alpha < lb) or np.any(alpha > ub):
-        raise ConfigurationError("starting point is infeasible for the box bounds")
+    tol = dcfg.grad_tol * (1.0 + float(np.linalg.norm(np.concatenate(params.box_midpoint()))))
 
-    def split(a: np.ndarray) -> DeviceParams:
-        return params.with_design(a[:n], a[n:])
-
-    tol = dcfg.grad_tol * (1.0 + float(np.linalg.norm(np.concatenate([mid_m, mid_d]))))
-
-    ev = eval_objective(split(alpha), cfg, net, ref_bus)
+    ev = eval_objective(params, cfg, net, ref_bus)
     J = ev.J_total
     grad = np.concatenate([ev.grad_m, ev.grad_d])
     J_history = [J]
@@ -128,7 +105,7 @@ def optimize(
     converged = False
 
     while True:
-        pg = alpha - project(alpha - grad, lb, ub)
+        pg = alpha - np.clip(alpha - grad, lb, ub)
         if float(np.linalg.norm(pg)) <= tol:
             converged = True
             reason = TerminationReason.gradient_tol
@@ -140,10 +117,12 @@ def optimize(
         gamma = bb_step if iterations else 1.0 / float(np.max(np.abs(pg)))
         accepted = None
         while gamma >= STEP_FLOOR:
-            trial = project(alpha - gamma * grad, lb, ub)
+            trial = np.clip(alpha - gamma * grad, lb, ub)
             step = trial - alpha
             try:
-                ev_trial = eval_objective(split(trial), cfg, net, ref_bus)
+                ev_trial = eval_objective(
+                    params.with_design(trial[:n], trial[n:]), cfg, net, ref_bus
+                )
             except (StabilityError, ParameterError):
                 gamma *= STEP_SHRINK
                 continue

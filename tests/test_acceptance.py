@@ -19,7 +19,6 @@ from vsmtune import (
     DescentConfig,
     ObjectiveConfig,
     optimize,
-    project,
     simulate,
 )
 from vsmtune.lyapunov import cayley_factor, solve_lyapunov
@@ -165,7 +164,7 @@ def test_criterion_5_optimizer_descent(twelve_net, twelve_params):
             ev = vt.eval_objective(p, cfg, twelve_net, 0)
             alpha = np.concatenate([res.m_star, res.d_star])
             grad = np.concatenate([ev.grad_m, ev.grad_d])
-            residual = np.linalg.norm(alpha - project(alpha - grad, lb, ub))
+            residual = np.linalg.norm(alpha - np.clip(alpha - grad, lb, ub))
             assert residual <= tol
 
         # Monotone single-machine problems end exactly on the box boundary.

@@ -24,22 +24,28 @@ def _bad_input_matrix():
     """Each bad input, given to every command that takes its flag."""
     simulating = ["simulate", "compare", "sweep-beta"]
     optimizing = ["optimize", "compare", "sweep-beta"]
+    # Each case: its id, the bad flags, the commands that take them, and a
+    # fragment of the error message.
     cases = [
-        ("no-disturb-node", [], simulating),
-        ("--disturb-node-3", ["--disturb-node", "3"], ["optimize"] + simulating),
-        ("--magnitude-nan", ["--magnitude", "nan"], simulating),
-        ("--horizon-1e300", ["--horizon", "1e300"], simulating),
-        ("--dt-nan", ["--dt", "nan"], simulating),
-        ("--max-iter-0", ["--max-iter", "0"], optimizing),
-        ("--seed-point-2", ["--seed-point", "2"], optimizing),
-        ("--seed-point-nan", ["--seed-point", "nan"], optimizing),
+        ("no-disturb-node", [], simulating, "--disturb-node is required"),
+        ("--disturb-node-3", ["--disturb-node", "3"], ["optimize"] + simulating,
+         "bus 3 is not a generator bus"),
+        ("--magnitude-nan", ["--magnitude", "nan"], simulating, "magnitude must be finite"),
+        ("--horizon-1e300", ["--horizon", "1e300"], simulating, "horizon/dt"),
+        ("--dt-nan", ["--dt", "nan"], simulating, "dt and horizon must be finite"),
+        ("--max-iter-0", ["--max-iter", "0"], optimizing, "max_iter"),
+        ("--seed-point-2", ["--seed-point", "2"], optimizing, "--seed-point"),
+        ("--seed-point-nan", ["--seed-point", "nan"], optimizing, "--seed-point"),
+        # 2n values for the bundled network's 9 generators, m above its box.
+        ("--seed-point-out-of-box", ["--seed-point", ",".join(["99"] * 9 + ["1"] * 9)],
+         optimizing, "--seed-point lies outside the coefficient box"),
     ]
-    for case, bad, commands in cases:
+    for case, bad, commands, message in cases:
         for command in commands:
             argv = [command] + (["--betas=0,0.1"] if command == "sweep-beta" else [])
             if case != "no-disturb-node":
                 argv += ["--disturb-node", "1"]  # a later --disturb-node in bad overrides it
-            yield pytest.param(argv + bad, id=f"{case}-{command}")
+            yield pytest.param(argv + bad, message, id=f"{case}-{command}")
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -152,7 +158,7 @@ class TestOptimize:
         grad = np.concatenate([ev.grad_m, ev.grad_d])
         lb = np.concatenate([twelve_params.m_lb, twelve_params.d_lb])
         ub = np.concatenate([twelve_params.m_ub, twelve_params.d_ub])
-        residual = np.linalg.norm(alpha - vt.project(alpha - grad, lb, ub))
+        residual = np.linalg.norm(alpha - np.clip(alpha - grad, lb, ub))
         alpha0 = np.concatenate(twelve_params.box_midpoint())
         assert residual <= 1e-6 * (1 + np.linalg.norm(alpha0))
 
@@ -180,6 +186,27 @@ class TestOptimize:
             "optimize", "--beta", 0.01, "--grad-tol", 1e-2,
             "--seed-point", 0.25, "--max-iter", 5, "--out", tmp_path,
         ) == 0
+
+    @pytest.mark.parametrize("command", [
+        ["optimize"],
+        ["compare", "--disturb-node", "1", "--horizon", "0.1"],
+        ["sweep-beta", "--betas=0", "--disturb-node", "1", "--horizon", "0.1"],
+    ], ids=lambda c: c[0])
+    def test_seed_point_is_the_start_design(self, command, tmp_path, monkeypatch,
+                                            twelve_params):
+        starts = []
+        real_optimize = cli.optimize
+
+        def recording(net, params, *args, **kwargs):
+            starts.append(params)
+            return real_optimize(net, params, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize", recording)
+        assert run(*command, "--seed-point", 0.25, "--max-iter", 1, "--out", tmp_path) == 0
+        p = twelve_params
+        assert len(starts) == 1
+        assert np.array_equal(starts[0].m, p.m_lb + 0.25 * (p.m_ub - p.m_lb))
+        assert np.array_equal(starts[0].d, p.d_lb + 0.25 * (p.d_ub - p.d_lb))
 
     def test_bad_seed_point_exit_2(self, tmp_path):
         assert run("optimize", "--seed-point", "7,1", "--out", tmp_path) == 2
@@ -512,9 +539,9 @@ class TestSweepBeta:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("argv", _bad_input_matrix())
-    def test_bad_time_grid_exit_2_before_any_evaluation(self, argv, tmp_path, monkeypatch,
-                                                        capsys):
+    @pytest.mark.parametrize("argv, message", _bad_input_matrix())
+    def test_bad_time_grid_exit_2_before_any_evaluation(self, argv, message, tmp_path,
+                                                        monkeypatch, capsys):
         # Covers every command, not only sweep-beta: bad input exits 2 before any work.
         calls = []
 
@@ -532,7 +559,9 @@ class TestSweepBeta:
         counting(simulator_module, "simulate")
         out = tmp_path / "out"
         assert run(*argv, "--out", out) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
         assert calls == []
         assert not out.exists()
 
@@ -605,6 +634,18 @@ class TestErrorMapping:
     def test_load_bus_as_reference_exit_2(self, tmp_path):
         assert run("simulate", "--disturb-node", 6, "--ref-bus", 7,
                    "--out", tmp_path) == 2
+
+    def test_log_env_var_naming_no_level_means_warning(self, tmp_path):
+        # In a fresh process, where basicConfig sets the root level: the
+        # logging attribute BASIC_FORMAT is a string, not a level, so it
+        # falls back to warning, and reduce exits 0 and logs nothing.
+        src = str(Path(vt.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-m", "vsmtune.cli", "reduce", "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src, "VSMTUNE_LOG": "basic_format"},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (out.returncode, out.stderr) == (0, "")
 
     def test_log_env_var_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VSMTUNE_LOG", "debug")

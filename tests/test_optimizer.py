@@ -2,45 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import vsmtune as vt
 import vsmtune.objective as objective_module
 import vsmtune.optimizer as optimizer_module
-from vsmtune import DescentConfig, ObjectiveConfig, TerminationReason, optimize, project
+from vsmtune import DescentConfig, ObjectiveConfig, TerminationReason, optimize
 
 from conftest import random_connected_spec, single_machine
-
-
-class TestProject:
-    def test_interior_point_unchanged(self):
-        alpha = np.array([0.5, 0.7])
-        out = project(alpha, np.zeros(2), np.ones(2))
-        assert np.array_equal(out, alpha)
-
-    def test_clamps_below(self):
-        out = project(np.array([-1.0, 0.5]), np.zeros(2), np.ones(2))
-        assert np.array_equal(out, [0.0, 0.5])
-
-    def test_clamps_above(self):
-        out = project(np.array([4.0, 0.5]), np.zeros(2), np.ones(2))
-        assert np.array_equal(out, [1.0, 0.5])
-
-    def test_rejects_crossed_bounds(self):
-        with pytest.raises(vt.ConfigurationError, match="lb > ub"):
-            project(np.zeros(2), np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
-           st.integers(min_value=0, max_value=2**32 - 1))
-    def test_property_idempotent_and_feasible(self, values, seed):
-        rng = np.random.default_rng(seed)
-        alpha = np.array(values)
-        lb = alpha - np.abs(rng.standard_normal(alpha.size)) - 1.0
-        ub = alpha + np.abs(rng.standard_normal(alpha.size))
-        once = project(alpha, lb, ub)
-        assert np.all(once >= lb) and np.all(once <= ub)
-        assert np.array_equal(project(once, lb, ub), once)
 
 
 class TestDescentConfig:
@@ -90,8 +58,7 @@ class TestOptimizeSingleMachine:
         # point of the projected update.
         net, params = single_machine(m_hat=1.0, d_hat=1.0, m=1.0, d=0.5,
                                      m_box=(0.0, 2.0), d_box=(0.5, 0.5))
-        dcfg = DescentConfig(init_m=np.array([1.0]), init_d=np.array([0.5]))
-        res = optimize(net, params, ObjectiveConfig(beta=0.0), dcfg, ref_bus=0)
+        res = optimize(net, params, ObjectiveConfig(beta=0.0), ref_bus=0)
         assert res.converged
         assert res.iterations <= 1
         assert res.m_star[0] == 1.0
@@ -127,10 +94,17 @@ class TestOptimizeTwelveBus:
         grad = np.concatenate([ev.grad_m, ev.grad_d])
         lb = np.concatenate([twelve_params.m_lb, twelve_params.d_lb])
         ub = np.concatenate([twelve_params.m_ub, twelve_params.d_ub])
-        residual = np.linalg.norm(alpha - project(alpha - grad, lb, ub))
+        residual = np.linalg.norm(alpha - np.clip(alpha - grad, lb, ub))
         m0, d0 = twelve_params.box_midpoint()
         tol = dcfg.grad_tol * (1 + np.linalg.norm(np.concatenate([m0, d0])))
         assert residual <= tol
+
+    def test_starts_from_the_params_design(self, twelve_net, twelve_params):
+        p = twelve_params
+        start = p.with_design(p.m_lb + 0.25 * (p.m_ub - p.m_lb), p.d_ub)
+        cfg = ObjectiveConfig(beta=0.01)
+        res = optimize(twelve_net, start, cfg, DescentConfig(max_iter=1), ref_bus=0)
+        assert res.J_history[0] == vt.eval_objective(start, cfg, twelve_net, 0).J_total
 
     def test_iterates_feasible_at_any_cap(self, twelve_net, twelve_params):
         for cap in (1, 3, 7):
@@ -177,15 +151,13 @@ class TestStopTolerance:
         cfg = ObjectiveConfig()
 
         def run(max_iter):
-            res = optimize(twelve_net, p, cfg, DescentConfig(
-                max_iter=max_iter,
-                init_m=p.m_lb + corner * (p.m_ub - p.m_lb),
-                init_d=p.d_lb + corner * (p.d_ub - p.d_lb),
-            ))
+            start = p.with_design(p.m_lb + corner * (p.m_ub - p.m_lb),
+                                  p.d_lb + corner * (p.d_ub - p.d_lb))
+            res = optimize(twelve_net, start, cfg, DescentConfig(max_iter=max_iter))
             ev = vt.eval_objective(p.with_design(res.m_star, res.d_star), cfg, twelve_net, 0)
             alpha = np.concatenate([res.m_star, res.d_star])
             grad = np.concatenate([ev.grad_m, ev.grad_d])
-            return res, np.linalg.norm(alpha - project(alpha - grad, lb, ub))
+            return res, np.linalg.norm(alpha - np.clip(alpha - grad, lb, ub))
 
         res, residual = run(5000)
         assert res.converged
@@ -320,17 +292,6 @@ class TestObservedProperties:
 
 
 class TestOptimizeErrors:
-    def test_infeasible_start_rejected(self, twelve_net, twelve_params):
-        n = twelve_params.n
-        dcfg = DescentConfig(init_m=np.full(n, 99.0), init_d=np.ones(n))
-        with pytest.raises(vt.ConfigurationError, match="infeasible"):
-            optimize(twelve_net, twelve_params, ObjectiveConfig(), dcfg, ref_bus=0)
-
-    def test_wrong_start_dimension_rejected(self, twelve_net, twelve_params):
-        dcfg = DescentConfig(init_m=np.array([1.0]), init_d=np.array([1.0]))
-        with pytest.raises(vt.ConfigurationError, match="dimension"):
-            optimize(twelve_net, twelve_params, ObjectiveConfig(), dcfg, ref_bus=0)
-
     def test_unstable_start_raises_stability_error(self):
         # Two decoupled machines: the relative angle integrates a difference
         # that never feeds back, leaving a zero eigenvalue.
