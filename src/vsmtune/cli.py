@@ -110,8 +110,8 @@ def _seed_point(text: str | None, params: DeviceParams) -> DeviceParams:
         raise ConfigurationError(f"--seed-point lies outside the coefficient box: {exc}") from exc
 
 
-def _load_coeffs(path: Path, gen_ids: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read per-bus m/d values from a coefficients CSV (optimize output)."""
+def _load_coeffs(path: Path, gen_ids: tuple[int, ...], params: DeviceParams) -> DeviceParams:
+    """``params`` with the per-bus m/d design of a coefficients CSV (optimize output)."""
     by_id: dict[int, tuple[float, float]] = {}
     try:
         with open(path, newline="") as fh:
@@ -137,7 +137,19 @@ def _load_coeffs(path: Path, gen_ids: tuple[int, ...]) -> tuple[np.ndarray, np.n
         )
     m = np.array([by_id[g][0] for g in gen_ids])
     d = np.array([by_id[g][1] for g in gen_ids])
-    return m, d
+    outside = []
+    for name, values in (("m", m), ("d", d)):
+        lb, ub = getattr(params, f"{name}_lb"), getattr(params, f"{name}_ub")
+        for gid, value, lo, hi in zip(gen_ids, values.tolist(), lb.tolist(), ub.tolist()):
+            if value < lo:
+                outside.append(f"bus {gid} {name}_opt {value} is below {name}_lb {lo}")
+            elif value > hi:
+                outside.append(f"bus {gid} {name}_opt {value} is above {name}_ub {hi}")
+    if outside:
+        raise ValidationError(
+            f"coefficients file {path} lies outside the coefficient box: {'; '.join(outside)}"
+        )
+    return params.with_design(m, d)
 
 
 class _Context:
@@ -169,7 +181,7 @@ class _Context:
         coeffs = getattr(args, "coeffs", None)
         self.design: DeviceParams | None = None
         if coeffs is not None:
-            self.design = self.params.with_design(*_load_coeffs(coeffs, self.net.gen_ids))
+            self.design = _load_coeffs(coeffs, self.net.gen_ids, self.params)
         node_id = getattr(args, "disturb_node", None)
         node = None if node_id is None else self.net.index_of(node_id)
         self.dist: Disturbance | None = None

@@ -9,6 +9,20 @@ are the two instances used by the H2 objective: ``F = B`` and ``F = C^T``.
 a caller can solve the dual equation later, or never. No entry point
 takes a dense ``W``.
 
+One squaring loop, ``_squarings``, forms the powers of ``T`` and ends in
+the stability certificate. ``cayley_factor(A)`` runs it to the end.
+``cayley_factor(A, reject)`` leaves it to the first primal sum, which
+squares one power per Smith step and tests ``reject``, a ``RejectAbove``
+bound on the weighted diagonal of the partial sum, before each squaring.
+Every Smith term is positive semidefinite, so with nonnegative weights
+the partial value only rises: once it exceeds the bound, or is NaN, the
+solve returns None, and the remaining squarings, steps and certificate
+are skipped. An unstable ``A`` whose unstable modes the sum sees has
+partial sums that grow without bound, and a singular shift makes them
+NaN at once, so either is rejected without an eigenvalue call; any other
+unstable ``A`` reaches the certificate, which raises. A sum that is not rejected runs the same
+products as ``cayley_factor(A)`` followed by ``solve_lyapunov``.
+
 The solver is the squared Smith iteration (Smith, SIAM J. Appl. Math.
 16(1), 1968). With ``q = |det A|^(1/n)``, the geometric mean of the
 eigenvalue moduli, the Cayley transform ``R = (A - qI)^-1``,
@@ -49,7 +63,7 @@ computed.
 from __future__ import annotations
 
 import warnings
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -91,17 +105,6 @@ def is_hurwitz(A: np.ndarray) -> tuple[bool, float]:
     A = _as_square(A, "A")
     abscissa = float(np.max(np.linalg.eigvals(A).real))
     return abscissa < 0.0, abscissa
-
-
-class CayleyFactor(NamedTuple):
-    """Factor of ``cayley_factor``.
-
-    ``S = sqrt(2q) (A - qI)^-1`` and the stored powers ``T, T^2, T^4, ...``
-    of ``T = (A - qI)^-1 (A + qI)`` that ``solve_lyapunov`` sums.
-    """
-
-    S: np.ndarray
-    powers: tuple[np.ndarray, ...]
 
 
 def _diagonal_split(A: np.ndarray) -> int:
@@ -159,45 +162,49 @@ def _shift_inverse(A: np.ndarray) -> tuple[float, np.ndarray]:
     return q, R
 
 
-def cayley_factor(A: np.ndarray) -> CayleyFactor:
-    """Cayley transform of a Hurwitz ``A`` and its repeated squares, for ``solve_lyapunov``.
+def _squarings(A: np.ndarray, q: float, R: np.ndarray) -> Iterator[np.ndarray]:
+    """The squaring loop: yield ``T, T^2, T^4, ...``, then certify stability.
 
-    Stability is accepted from the squaring's bound on the spectral
-    radius of ``T``. When the bound does not clear ``STABILITY_MARGIN``,
-    or ``A - qI`` is singular, or the powers turn non-finite or do not
-    fall below ``POWER_TOL`` within ``MAX_SQUARINGS``, the spectral
-    abscissa is read from ``np.linalg.eigvals`` instead.
+    ``R = (A - qI)^-1`` from ``_shift_inverse``. Each square is formed
+    only when the consumer asks for the next power, so a consumer that
+    stops early skips the remaining squarings and the certificate. After
+    the last power, stability is accepted from the squaring's bound
+    on the spectral radius of ``T``. When the bound does not clear
+    ``STABILITY_MARGIN``, or ``A - qI`` is singular, or the powers turn
+    non-finite or do not fall below ``POWER_TOL`` within
+    ``MAX_SQUARINGS``, the spectral abscissa is read from
+    ``np.linalg.eigvals`` instead.
 
     Raises
     ------
     StabilityError
         If the spectral abscissa is at or above ``STABILITY_MARGIN``, or
         the powers of ``T`` do not converge.
-    ValueError
-        If ``A`` is not a finite square matrix.
     """
-    A = _as_square(A, "A")
     n = A.shape[0]
-    powers = []
     with np.errstate(all="ignore"):
-        q, R = _shift_inverse(A)
         T = 2.0 * q * R
         T[np.diag_indices(n)] += 1.0
-        # norm bounds ||T^(2^len(powers))||_F: it is that norm, or the
-        # square of the last stored power's norm.
+        # norm bounds ||T^(2^stored)||_F: it is that norm, or the square of
+        # the last stored power's norm.
         norm = np.linalg.norm(T)
-        for _ in range(MAX_SQUARINGS):
-            if not norm > POWER_TOL:
-                break
-            powers.append(T)
+    stored = 0
+    for _ in range(MAX_SQUARINGS):
+        if not norm > POWER_TOL:
+            break
+        yield T
+        stored += 1
+        with np.errstate(all="ignore"):
             if norm * norm <= POWER_TOL:
                 norm *= norm
                 break
             T = T @ T
             norm = np.linalg.norm(T)
+    with np.errstate(all="ignore"):
         converged = bool(norm <= POWER_TOL)
-        r = norm ** (0.5 ** len(powers))
-    if not (converged and -(1.0 - r * r) * q / 4.0 < STABILITY_MARGIN):
+        r = norm ** (0.5 ** stored)
+        certified = converged and -(1.0 - r * r) * q / 4.0 < STABILITY_MARGIN
+    if not certified:
         abscissa = float(np.max(np.linalg.eigvals(A).real))
         if abscissa >= STABILITY_MARGIN:
             raise StabilityError(
@@ -208,28 +215,106 @@ def cayley_factor(A: np.ndarray) -> CayleyFactor:
                 f"Cayley powers of the system matrix did not converge "
                 f"(spectral abscissa {abscissa:.3e})"
             )
-    return CayleyFactor(np.sqrt(2.0 * q) * R, tuple(powers))
 
 
-def _oriented(factor: CayleyFactor, dual: bool) -> tuple[np.ndarray, Sequence[np.ndarray]]:
+class RejectAbove(NamedTuple):
+    """Stop rule of a primal sum: reject ``X`` once ``offset + weights @ diag(X) > limit``.
+
+    With nonnegative ``weights`` the partial value only rises towards the
+    full one, since every Smith term is positive semidefinite. A NaN
+    partial value is a rejection.
+    """
+
+    weights: np.ndarray
+    offset: float
+    limit: float
+
+    def rejects(self, diag: np.ndarray) -> bool:
+        """Whether the sum whose diagonal is ``diag`` is rejected."""
+        return not self.offset + self.weights @ diag <= self.limit
+
+
+class CayleyFactor:
+    """Factor of ``cayley_factor``.
+
+    ``S = sqrt(2q) (A - qI)^-1`` and the powers ``T, T^2, T^4, ...`` of
+    ``T = (A - qI)^-1 (A + qI)`` that ``solve_lyapunov`` sums. The powers
+    come from ``_squarings`` as they are read, and ``powers`` reads them
+    all, so its first read also certifies stability. ``reject`` is the
+    stop rule of the primal sums, or None.
+    """
+
+    def __init__(self, S: np.ndarray, squarings: Iterator[np.ndarray],
+                 reject: RejectAbove | None):
+        self.S = S
+        self.reject = reject
+        self._squarings = squarings
+        self._stored: list[np.ndarray] = []
+
+    @property
+    def powers(self) -> tuple[np.ndarray, ...]:
+        self._stored.extend(self._squarings)
+        return tuple(self._stored)
+
+    def _iter_powers(self) -> Iterator[np.ndarray]:
+        """The stored powers, then each further square as soon as it is formed."""
+        yield from self._stored
+        for T in self._squarings:
+            self._stored.append(T)
+            yield T
+
+
+def cayley_factor(A: np.ndarray, reject: RejectAbove | None = None) -> CayleyFactor:
+    """Cayley transform of a Hurwitz ``A`` and its repeated squares, for ``solve_lyapunov``.
+
+    Without ``reject``, every power is squared and stability is certified
+    here (``_squarings``). With it, the squaring is left to the first
+    primal ``solve_lyapunov``, which runs it one power per Smith step and
+    stops early when ``reject`` fires.
+
+    Raises
+    ------
+    StabilityError
+        Without ``reject``: if the spectral abscissa is at or above
+        ``STABILITY_MARGIN``, or the powers of ``T`` do not converge.
+    ValueError
+        If ``A`` is not a finite square matrix.
+    """
+    A = _as_square(A, "A")
+    with np.errstate(all="ignore"):
+        q, R = _shift_inverse(A)
+        S = np.sqrt(2.0 * q) * R
+    factor = CayleyFactor(S, _squarings(A, q, R), reject)
+    if reject is None:
+        factor.powers  # squares to the end, so an unstable A raises here
+    return factor
+
+
+def _oriented(factor: CayleyFactor, dual: bool) -> tuple[np.ndarray, Iterable[np.ndarray]]:
     """``factor``, or the factor of ``A^T`` (every matrix transposed) when ``dual``."""
-    S, powers = factor
     if dual:
-        return S.T, [T.T for T in powers]
-    return S, powers
+        return factor.S.T, [T.T for T in factor.powers]
+    return factor.S, factor._iter_powers()
 
 
-def solve_lyapunov(factor: CayleyFactor, F: np.ndarray, dual: bool = False) -> np.ndarray:
+def solve_lyapunov(
+    factor: CayleyFactor, F: np.ndarray, dual: bool = False
+) -> np.ndarray | None:
     """Solve ``A X + X A^T + F F^T = 0``, or ``A^T X + X A + F F^T = 0`` when ``dual``.
 
-    ``factor`` is ``cayley_factor(A)``, which has already checked
-    stability, and ``F`` has one row per state. The dual equation is the
-    primal one for ``A^T``, whose factor is the transpose of every matrix
-    in ``factor``. The sum starts from ``G G^T`` with ``G = S F`` and
-    applies ``X <- X + T X T^T`` for each stored power ``T``; a factor of
-    width ``w`` stays a factor, ``[G, T G]``, while ``w`` is at most the
-    state count, and the remaining steps are dense. The result is
+    ``factor`` is ``cayley_factor(A)``, and ``F`` has one row per state.
+    The dual equation is the primal one for ``A^T``, whose factor is the
+    transpose of every matrix in ``factor``. The sum starts from ``G G^T``
+    with ``G = S F`` and applies ``X <- X + T X T^T`` for each power ``T``;
+    a factor of width ``w`` stays a factor, ``[G, T G]``, while ``w`` is at
+    most the state count, and the remaining steps are dense. The result is
     explicitly symmetrized and positive semidefinite.
+
+    A primal sum reads each power as it needs it, so the squaring and its
+    stability certificate run inside the sum, and ``StabilityError`` can
+    be raised here. When ``factor.reject`` is set, it is tested on the
+    starting sum and after each step, and the first partial sum that it
+    rejects ends the solve, before the next squaring, with None.
 
     The residual ``||A X + X A^T + F F^T||_F`` stays within
     ``RESIDUAL_TOL * max(1, ||F F^T||_F)`` on the dense, well-damped
@@ -250,26 +335,44 @@ def solve_lyapunov(factor: CayleyFactor, F: np.ndarray, dual: bool = False) -> n
         raise ValueError(f"F must have {dim} rows, got shape {F.shape}")
     if not np.all(np.isfinite(F)):
         raise ValueError("F contains non-finite entries")
+    reject = None if dual else factor.reject
     width = F.shape[1]
-    steps = 0
-    while steps < len(powers) and width << steps <= dim:
-        steps += 1
+    rows = width
+    while rows <= dim:
+        rows *= 2
     # Rows of Gt are the columns of G, so each doubling fills a contiguous row block.
-    Gt = np.empty((width << steps, dim))
+    Gt = np.empty((rows, dim))
     Gt[:width] = (S @ F).T
-    for T in powers[:steps]:
-        np.matmul(Gt[:width], T.T, out=Gt[width:2 * width])
-        width *= 2
-    X = Gt.T @ Gt
-    TX = np.empty_like(X)
-    TXT = np.empty_like(X)
-    for T in powers[steps:]:
-        np.matmul(T, X, out=TX)
-        np.matmul(TX, T.T, out=TXT)
-        X += TXT
-    np.add(X, X.T, out=TX)
-    TX *= 0.5
-    return TX
+    X = None
+
+    def rejected() -> bool:
+        if reject is None:
+            return False
+        diag = np.einsum("ij,ij->j", Gt[:width], Gt[:width]) if X is None else np.diagonal(X)
+        return reject.rejects(diag)
+
+    with np.errstate(all="ignore"):
+        if rejected():
+            return None
+        for T in powers:
+            if X is None and width <= dim:
+                np.matmul(Gt[:width], T.T, out=Gt[width:2 * width])
+                width *= 2
+            else:
+                if X is None:
+                    X = Gt[:width].T @ Gt[:width]
+                    TX = np.empty_like(X)
+                    TXT = np.empty_like(X)
+                np.matmul(T, X, out=TX)
+                np.matmul(TX, T.T, out=TXT)
+                X += TXT
+            if rejected():
+                return None
+    if X is None:
+        X = Gt[:width].T @ Gt[:width]
+    P = X + X.T
+    P *= 0.5
+    return P
 
 
 def check_residual(A: np.ndarray, X: np.ndarray, W: np.ndarray, name: str) -> None:

@@ -22,10 +22,15 @@ all 2n partials reduce to O(n) cheap contractions of ``P Q`` instead of
 ``cayley_factor`` (the Cayley transform and its repeated squares, with the
 damping block eliminated so that LAPACK sees only the (n-1)-square angle
 block), and ``solve_lyapunov`` sums ``P`` from that factor and the factor
-``B`` of ``B B^T``, which gives J. ``Q`` and the gradient are solved from
-the same factor and ``C^T`` when one of them is first read, so a caller
-that only compares values (a rejected line-search trial) pays one
-factorization and one primal solve.
+``B`` of ``B B^T``, which gives J. ``C = [0, M^(1/2)]`` makes ``C^T C``
+diagonal, so ``J_h2 = w @ diag(P)`` with ``w = diag(C^T C)``. ``Q`` and the
+gradient are solved from the same factor and ``C^T`` when one of them is
+first read, so a caller that only compares values (a line-search trial)
+pays one factorization and one primal solve. A caller that passes
+``reject_above`` pays less when J is above it: the squaring runs inside
+the primal sum, and the partial value ``J_reg + w @ diag(X_k)``, which
+only rises towards J, ends the evaluation (None) as soon as it exceeds
+the bound.
 """
 
 from __future__ import annotations
@@ -36,7 +41,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .lyapunov import CayleyFactor, cayley_factor, check_residual, solve_lyapunov
+from .lyapunov import (
+    CayleyFactor,
+    RejectAbove,
+    cayley_factor,
+    check_residual,
+    solve_lyapunov,
+)
 from .netmodel import DeviceParams, ReducedNetwork, StateSpace, assemble_state_space
 
 
@@ -136,21 +147,36 @@ def eval_objective(
     cfg: ObjectiveConfig,
     net: ReducedNetwork,
     ref_bus: int,
-) -> ObjectiveEval:
+    reject_above: float | None = None,
+) -> ObjectiveEval | None:
     """Assemble the realization and evaluate the value; the gradient follows on first read.
 
-    Raises ``StabilityError`` here, from the factorization, when the
-    realization is not Hurwitz.
+    With ``reject_above``, returns None when ``J_total`` exceeds it or is
+    NaN. The primal sum then stops at the first Smith step whose partial
+    value ``J_reg + w @ diag(X_k)`` exceeds it, which is sound because
+    that value only rises towards ``J_total``, and the remaining squarings
+    and the stability certificate are skipped.
+
+    Raises ``StabilityError`` when the realization is not Hurwitz and the
+    evaluation is not rejected first.
     """
     ss = assemble_state_space(net, params, ref_bus, eta=cfg.eta)
-    factor = cayley_factor(ss.A)
-    P = solve_lyapunov(factor, ss.B)
-    J_h2 = float(np.trace(ss.C @ P @ ss.C.T))
     J_reg = float(cfg.beta * np.dot(params.m, params.m))
+    # C = [0, M^(1/2)], so C^T C is diagonal and trace(C P C^T) = w @ diag(P).
+    w = np.einsum("ij,ij->j", ss.C, ss.C)
+    reject = None if reject_above is None else RejectAbove(w, J_reg, reject_above)
+    factor = cayley_factor(ss.A, reject)
+    P = solve_lyapunov(factor, ss.B)
+    if P is None:
+        return None
+    J_h2 = float(w @ np.diagonal(P))
+    J_total = J_h2 + J_reg
+    if reject is not None and not J_total <= reject_above:
+        return None
     return ObjectiveEval(
         J_h2=J_h2,
         J_reg=J_reg,
-        J_total=J_h2 + J_reg,
+        J_total=J_total,
         P=P,
         ss=ss,
         params=params,

@@ -6,12 +6,16 @@ Iterates ``alpha <- Proj[alpha - gamma * grad J(alpha)]`` where
 Barzilai-Borwein step ``s's / s'y`` from the last accepted step ``s`` and
 gradient change ``y``; an Armijo line search along the projection arc
 halves it until J decreases enough, and rejects trials whose dynamics
-are not Hurwitz. A trial costs one Cayley factorization, whose only
-LAPACK calls act on the (n-1)-square angle block, and one primal gramian
-solve from the factored right-hand side ``B``, which give J; only the
-accepted trial's gradient is read, so only it solves the dual gramian
-from the same factor and ``C^T``, and that gradient serves the next
-iteration. At the final point both gramians' Lyapunov residuals are
+are not Hurwitz. A trial costs at most one Cayley factorization, whose
+only LAPACK calls act on the (n-1)-square angle block, and one primal
+gramian solve from the factored right-hand side ``B``, which give J. The
+trial passes its Armijo threshold to ``eval_objective`` as
+``reject_above``, so a trial whose partial Smith sum already exceeds it
+stops there, before its remaining squarings and stability certificate,
+and counts as rejected like a non-Hurwitz one. Only the accepted trial's
+gradient is read, so only it solves the dual gramian from the same
+factor and ``C^T``, and that gradient serves the next iteration. At the
+final point both gramians' Lyapunov residuals are
 checked, and a ``RuntimeWarning`` reports one that misses its bound.
 Convergence is judged on the unit-step projected-gradient (KKT) residual
 rather than the raw gradient norm, since optima routinely sit on the
@@ -119,14 +123,15 @@ def optimize(
         while gamma >= STEP_FLOOR:
             trial = np.clip(alpha - gamma * grad, lb, ub)
             step = trial - alpha
+            threshold = J + SUFFICIENT_DECREASE * float(grad @ step)
             try:
                 ev_trial = eval_objective(
-                    params.with_design(trial[:n], trial[n:]), cfg, net, ref_bus
+                    params.with_design(trial[:n], trial[n:]), cfg, net, ref_bus,
+                    reject_above=threshold,
                 )
             except (StabilityError, ParameterError):
-                gamma *= STEP_SHRINK
-                continue
-            if ev_trial.J_total <= J + SUFFICIENT_DECREASE * float(grad @ step):
+                ev_trial = None
+            if ev_trial is not None and ev_trial.J_total <= threshold:
                 accepted = (trial, ev_trial)
                 break
             gamma *= STEP_SHRINK

@@ -20,6 +20,19 @@ _netgen_spec.loader.exec_module(netgen)
 random_connected_spec = functools.partial(netgen.random_connected_spec, vt)
 
 
+def grid_problem(seed, n_buses=50):
+    """Seeded ``netgen`` grid of ``n_buses`` generators in the benchmark's box, at its midpoint."""
+    spec = random_connected_spec(np.random.default_rng(seed), n_buses)
+    net = vt.reduce_network(spec)
+    n = net.n
+    box = {key: np.full(n, value) for key, value in netgen.BOUNDS.items()}
+    params = vt.DeviceParams(
+        m_hat=[b.m_hat for b in spec.buses], d_hat=[b.d_hat for b in spec.buses],
+        m=box["m_lb"], d=box["d_lb"], **box,
+    )
+    return net, params.with_design(*params.box_midpoint())
+
+
 @pytest.fixture(scope="session")
 def twelve_doc():
     return vt.load_network(vt.bundled_network_path())

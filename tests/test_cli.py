@@ -324,6 +324,27 @@ class TestSimulate:
         assert "[99]" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_rejects_out_of_box_coeffs(self, command, tmp_path, capsys):
+        # An optimize output with bus 1's m_opt above and bus 2's d_opt below the box.
+        assert run("optimize", "--max-iter", 3, "--out", tmp_path / "opt") == 0
+        rows = read_csv(tmp_path / "opt" / "coefficients.csv")
+        rows[0]["m_opt"], rows[1]["d_opt"] = "99", "-0.5"
+        path = tmp_path / "out_of_box.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        assert run(
+            command, "--coeffs", path, "--disturb-node", 1, "--out", tmp_path / "run",
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"coefficients file {path} lies outside the coefficient box" in err
+        assert "bus 1 m_opt 99.0 is above m_ub 3.0" in err
+        assert "bus 2 d_opt -0.5 is below d_lb 0.0" in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("flag,value", [("--dt", "nan"), ("--horizon", "nan"),
                                             ("--horizon", "inf"), ("--dt", "inf")])
     def test_non_finite_dt_or_horizon_exit_2(self, flag, value, tmp_path, capsys):
@@ -647,8 +668,23 @@ class TestErrorMapping:
         )
         assert (out.returncode, out.stderr) == (0, "")
 
-    def test_log_env_var_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VSMTUNE_LOG", "debug")
-        assert run("reduce", "--out", tmp_path) == 0
-        monkeypatch.setenv("VSMTUNE_LOG", "not-a-level")
-        assert run("reduce", "--out", tmp_path) == 0
+    def test_log_env_var_accepted(self, tmp_path):
+        # In a fresh process, as above: in-process, pytest's handlers make
+        # basicConfig a no-op, so no VSMTUNE_LOG value could fail this test.
+        # The console script's entry point, so the logger is vsmtune.cli.
+        src = str(Path(vt.__file__).resolve().parents[1])
+        script = "from vsmtune.cli import entrypoint; entrypoint()"
+
+        def reduce(level):
+            return subprocess.run(
+                [sys.executable, "-c", script, "reduce", "--out", str(tmp_path)],
+                env={**os.environ, "PYTHONPATH": src, "VSMTUNE_LOG": level},
+                capture_output=True, text=True, timeout=60,
+            )
+
+        out = reduce("debug")
+        assert out.returncode == 0
+        for name in ("reduced_generators.csv", "reduced_laplacian.csv"):
+            assert f"INFO vsmtune.cli: wrote {tmp_path / name}\n" in out.stderr
+        out = reduce("not-a-level")
+        assert (out.returncode, out.stderr) == (0, "")

@@ -3,9 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vsmtune as vt
-from vsmtune import ObjectiveConfig, StateSpace
+from vsmtune import ObjectiveConfig, StateSpace, lyapunov
 
-from conftest import gramians, h2_value, random_connected_spec, single_machine
+from conftest import (
+    gramians,
+    grid_problem,
+    h2_value,
+    random_connected_spec,
+    random_stable_system,
+    single_machine,
+)
 
 
 def finite_difference_gradient(params, cfg, net, ref_bus):
@@ -233,6 +240,101 @@ class TestEvalObjective:
     def test_beta_must_be_finite(self):
         with pytest.raises(vt.ConfigurationError, match="finite"):
             ObjectiveConfig(beta=np.inf)
+
+
+def rejection_cases(twelve_net, twelve_params):
+    """Twelve-bus with both objectives and beta in {-0.1, 0, 0.1}, and a seeded 50-bus grid."""
+    eta = np.eye(twelve_net.n)[0]
+    for beta in (-0.1, 0.0, 0.1):
+        for known_location in (False, True):
+            cfg = ObjectiveConfig(beta=beta, eta=eta if known_location else None)
+            yield twelve_net, twelve_params, cfg
+    yield *grid_problem(3), ObjectiveConfig()
+
+
+def box_point(params, rng):
+    return params.with_design(
+        params.m_lb + rng.random(params.n) * (params.m_ub - params.m_lb),
+        params.d_lb + rng.random(params.n) * (params.d_ub - params.d_lb),
+    )
+
+
+def no_eigvals(A):
+    raise AssertionError("np.linalg.eigvals called")
+
+
+class TestEarlyRejection:
+    """``eval_objective(..., reject_above=t)`` returns None exactly when ``J_total > t``."""
+
+    def test_rejects_iff_value_above_threshold(self, monkeypatch, twelve_net, twelve_params):
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        rng = np.random.default_rng(11)
+        for net, params, cfg in rejection_cases(twelve_net, twelve_params):
+            for _ in range(3):
+                p = box_point(params, rng)
+                full = vt.eval_objective(p, cfg, net, 0)
+                J = full.J_total
+                for rel in (-0.5, -1e-12, 1e-12, 0.5):
+                    t = J + rel * abs(J)
+                    ev = vt.eval_objective(p, cfg, net, 0, reject_above=t)
+                    assert (ev is None) == (J > t)
+                    if ev is not None:
+                        assert ev.J_total == J
+                        assert np.array_equal(ev.P, full.P)
+
+    def test_low_threshold_stops_the_squaring(self, monkeypatch, twelve_net, twelve_params):
+        # A threshold halfway up the H2 part is passed by a partial sum,
+        # so fewer powers are formed than the full evaluation forms.
+        squarings = lyapunov._squarings
+        formed = []
+
+        def counting(*args):
+            formed.append(0)
+            for T in squarings(*args):
+                formed[-1] += 1
+                yield T
+
+        monkeypatch.setattr(lyapunov, "_squarings", counting)
+        rng = np.random.default_rng(12)
+        for net, params, cfg in rejection_cases(twelve_net, twelve_params):
+            p = box_point(params, rng)
+            full = vt.eval_objective(p, cfg, net, 0)
+            halfway = full.J_reg + 0.5 * full.J_h2
+            assert vt.eval_objective(p, cfg, net, 0, reject_above=halfway) is None
+            assert formed[-1] < formed[-2] == len(full.factor.powers)
+
+    def test_non_hurwitz_rejected_without_eigvals(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        A, B, C = random_stable_system(rng, 20)
+        A = A + 3.0 * np.eye(20)
+        w = np.einsum("ij,ij->j", C, C)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvals", no_eigvals)
+            # The partial sums grow without bound: even the largest finite limit is passed.
+            reject = lyapunov.RejectAbove(w, 0.0, np.finfo(float).max)
+            assert lyapunov.solve_lyapunov(lyapunov.cayley_factor(A, reject), B) is None
+            # A marginal swing model: two unconnected machines leave a zero
+            # eigenvalue, so q = |det A|^(1/n) is 0 and the starting sum is NaN.
+            net = vt.ReducedNetwork(gen_ids=(1, 2), L=np.zeros((2, 2)))
+            params = vt.DeviceParams(
+                m_hat=[1.0, 1.0], d_hat=[1.0, 1.0], m=[0.0, 0.0], d=[0.0, 0.0],
+                m_lb=[0.0, 0.0], m_ub=[2.0, 2.0], d_lb=[0.0, 0.0], d_ub=[2.0, 2.0],
+            )
+            assert vt.eval_objective(params, ObjectiveConfig(), net, 0, reject_above=1e6) is None
+        # On its own, the factorization still certifies and raises.
+        with pytest.raises(vt.StabilityError, match="not Hurwitz"):
+            lyapunov.cayley_factor(A)
+
+    def test_nan_partial_value_is_rejected(self, monkeypatch):
+        A, B, C = random_stable_system(np.random.default_rng(14), 12)
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        w = np.einsum("ij,ij->j", C, C)
+        assert lyapunov.solve_lyapunov(lyapunov.cayley_factor(A), B) is not None
+        w_nan = w.copy()
+        w_nan[3] = np.nan
+        for reject in (lyapunov.RejectAbove(w_nan, 0.0, np.inf),
+                       lyapunov.RejectAbove(w, np.nan, np.inf)):
+            assert lyapunov.solve_lyapunov(lyapunov.cayley_factor(A, reject), B) is None
 
 
 class TestUniformRatioOracle:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import vsmtune as vt
+import vsmtune.lyapunov as lyapunov_module
 import vsmtune.objective as objective_module
 import vsmtune.optimizer as optimizer_module
 from vsmtune import DescentConfig, ObjectiveConfig, TerminationReason, optimize
 
-from conftest import random_connected_spec, single_machine
+from conftest import grid_problem, random_connected_spec, single_machine
 
 
 class TestDescentConfig:
@@ -176,8 +177,10 @@ class TestEvaluationCost:
                 return fn(*args, **kwargs)
             return wrapper
 
+        # Every evaluation starts one factorization, rejected trials included;
+        # a trial rejected from a partial sum does not finish it.
         monkeypatch.setattr(
-            objective_module, "cayley_factor", counting("factor", objective_module.cayley_factor)
+            lyapunov_module, "_shift_inverse", counting("factor", lyapunov_module._shift_inverse)
         )
         # No trial needs the eigenvalues: the Cayley powers certify stability.
         monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
@@ -275,6 +278,48 @@ class TestLazyDualSolve:
         assert counts["eval"] > res.iterations + 1
         assert counts["factor"] == counts["eval"]
         assert counts["dual"] == res.iterations + 1
+
+
+class TestEarlyRejectionPath:
+    @pytest.mark.parametrize("case", ["twelve-bus", "grid50"])
+    def test_same_path_as_full_evaluations(self, monkeypatch, twelve_net, twelve_params, case):
+        # Trials rejected from a partial sum are exactly those whose full J
+        # fails the Armijo test, so the path is the same as with every trial
+        # evaluated in full.
+        if case == "twelve-bus":
+            net, params = twelve_net, twelve_params
+            cfg = ObjectiveConfig(beta=0.1, eta=np.eye(twelve_net.n)[0])
+            dcfg = DescentConfig(max_iter=200)
+        else:
+            net, params = grid_problem(3)
+            cfg, dcfg = ObjectiveConfig(), DescentConfig(max_iter=30)
+        eval_objective = objective_module.eval_objective
+
+        def run(early):
+            trials = []  # (accepted, rejected from a partial sum) per line-search trial
+
+            def recording(*args, reject_above=None):
+                if reject_above is None:
+                    return eval_objective(*args)
+                try:
+                    ev = eval_objective(*args, reject_above=reject_above if early else None)
+                except vt.StabilityError:
+                    trials.append((False, False))
+                    raise
+                trials.append((ev is not None and ev.J_total <= reject_above, ev is None))
+                return ev
+
+            monkeypatch.setattr(optimizer_module, "eval_objective", recording)
+            return optimize(net, params, cfg, dcfg), trials
+
+        res, trials = run(early=True)
+        full, full_trials = run(early=False)
+        assert res.iterations == full.iterations
+        assert res.termination_reason == full.termination_reason
+        assert [a for a, _ in trials] == [a for a, _ in full_trials]
+        assert sum(rejected for _, rejected in trials) >= 10
+        assert not any(rejected for _, rejected in full_trials)
+        assert np.max(np.abs(res.J_history - full.J_history) / np.abs(full.J_history)) <= 1e-14
 
 
 class TestObservedProperties:
