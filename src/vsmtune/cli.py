@@ -39,17 +39,36 @@ from .objective import ObjectiveConfig
 from .optimizer import DescentConfig, OptResult, optimize
 from .simulator import Disturbance, SimResult, compare_designs, sample_buffer, simulate
 
-log = logging.getLogger(__name__)
+# Named, not __name__: under ``python -m vsmtune.cli`` that would be __main__.
+log = logging.getLogger("vsmtune.cli")
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_INVALID = 2
 
-# Trajectory rows formatted per bytes ``%`` operation. A 25,001-row,
-# ten-column file took 81-85 ms for any block from 64 to 25,001 rows,
-# against 100 ms for one ``%`` per row (2-core x86_64, Python 3.11, best
-# of 7).
+# Trajectory rows formatted per call of ``_csv_rows``.
 TRAJECTORY_BLOCK = 1024
+
+# _csv_rows makes digits exactly only when the long double is x87 extended
+# (64-bit significand) or IEEE quad: both round each operation once, to a
+# fixed precision. Elsewhere, double-double (nmant 105) included, every
+# value takes the ``%`` fallback.
+_EXTENDED = np.finfo(np.longdouble).nmant in (63, 112)
+_U = np.uint64
+# 10**k for k <= 27 in long double: 5**27 < 2**63, so each entry is exact.
+_POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
+_X_MIN, _X_MAX = -11, 43
+# Per decimal exponent X in [_X_MIN, _X_MAX], the little-endian words of
+# the ``0.000`` prefix (bytes 1-5) and the ``e+XX`` suffix (bytes 24-27).
+_PREFIX = np.array([int.from_bytes(b"0." + b"0" * (-x - 1), "little") << 8 if -4 <= x < 0 else 0
+                    for x in range(_X_MIN, _X_MAX + 1)], dtype=np.uint64)
+_SUFFIX = np.array([int.from_bytes(b"e%+03d" % x, "little") if x < -4 or x >= 17 else 0
+                    for x in range(_X_MIN, _X_MAX + 1)], dtype=np.uint64)
+# The low k bytes of a word, for k = 0..8.
+_KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# Moves the point from byte 7 to after digit p: [0, 2..p+1, 1, p+2..17].
+_POINT_AFTER = np.array([[0, *range(2, p + 2), 1, *range(p + 2, 18)] for p in range(17)])
+_COMMA, _CRLF = (_U(int.from_bytes(s, "little") << 32) for s in (b",", b"\r\n"))
 
 
 def _fmt(value) -> str:
@@ -211,26 +230,109 @@ def _metrics_rows(gen_ids, result: SimResult, prefix: tuple = ()):
         )
 
 
+def _digit_bytes(v: np.ndarray) -> np.ndarray:
+    """Words whose little-endian bytes are the eight decimal digits of each ``v < 10**8``.
+
+    The most significant digit is byte 0. Each step splits every lane in
+    two, by a multiply and shift that divide exactly in the lane's range:
+    4+4 digits, then 2+2 (``*10486 >> 20`` is ``//100`` below 10**4), then
+    1+1 (``*103 >> 10`` is ``//10`` below 100).
+    """
+    hi = v // _U(10_000)
+    x = hi | ((v - hi * _U(10_000)) << _U(32))
+    hi = ((x * _U(10486)) >> _U(20)) & _U(0x0000007F0000007F)
+    x = hi | ((x - hi * _U(100)) << _U(16))
+    hi = ((x * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)
+    return hi | ((x - hi * _U(10)) << _U(8))
+
+
+def _percent_fields(values: np.ndarray) -> np.ndarray:
+    """``b"%.17g" % v`` for each value, one NUL-padded 28-byte row each."""
+    fields = np.array([b"%.17g" % v for v in values.tolist()], dtype="S28")
+    return fields.view(np.uint8).reshape(-1, 28)
+
+
+def _csv_rows(block: np.ndarray) -> bytes:
+    """CSV rows of a 2-D float block: ``%.17g`` fields, commas, CRLF ends.
+
+    The bytes equal ``b"%.17g" % x`` for every value ``x``. A finite
+    nonzero ``x`` with decimal exponent ``X`` in [-11, 43] gets its 17
+    digits ``d = round(|x| * 10**(16 - X))`` from one long double multiply
+    or divide by an exact power of ten. Below 1e17 the long double's
+    spacing is at most 2**-7, so half-integers are representable and the
+    one rounding of the product cannot cross one: rounding the product
+    gives ``d`` unless it is itself a half-integer. Each field fills four
+    little-endian words of a 32-byte slot: sign, ``0.000`` prefix, leading
+    digit and point; eight digits; eight digits; ``e+XX`` and separator.
+    Unused bytes and trailing zero digits are NUL, so deleting every NUL
+    packs the fields. Every other value goes through ``b"%.17g" % x``
+    into its slot: zeros, inf, nan, ``X`` outside the range, half-integer
+    products, a ``log10`` that misses ``X`` by one, a carry to 1e17, and
+    every value when the long double is neither x87 extended nor IEEE
+    quad (``_EXTENDED``).
+    """
+    n_rows, n_cols = block.shape
+    x = block.ravel()
+    n = x.size
+    fast = np.isfinite(x) & (x != 0) & _EXTENDED
+    ax = np.where(fast, np.abs(x), 1.0)
+    X = np.floor(np.log10(ax)).astype(np.int64)
+    fast &= (X >= _X_MIN) & (X <= _X_MAX)
+    X[~fast] = 0
+    k = 16 - X
+    y = ax.astype(np.longdouble) * _POW10[np.maximum(k, 0)]
+    if (k < 0).any():
+        y /= _POW10[np.maximum(-k, 0)]
+    d = np.rint(y)
+    fast &= (y >= 1e16) & (d < 1e17) & (np.abs((y - d).astype(np.float64)) != 0.5)
+    lead, d = np.divmod(np.where(fast, d, 1e16).astype(np.uint64), _U(10**16))
+    digits = _digit_bytes(np.concatenate(np.divmod(d, _U(10**8))))
+    # Bytes up to the last nonzero digit; frexp is exact here since no
+    # byte exceeds 9, so no word rounds up to a power of two.
+    used = (np.frexp(digits.astype(np.float64))[1] + 7) // 8
+    n_sig = 1 + np.where(digits[n:] != 0, 8 + used[n:], used[:n])
+    sci = (X < -4) | (X >= 17)
+    # %g keeps the integer digits of a fixed-point value and its point
+    # follows digit X; in scientific notation it follows the first digit.
+    shown = np.where(sci | (X < 0), n_sig, np.maximum(n_sig, X + 1))
+    point = np.where(sci, 0, X)
+    has_point = (point >= 0) & (shown > point + 1)
+    words = np.empty((n, 4), np.uint64)
+    words[:, 0] = (np.where(np.signbit(x), _U(ord("-")), _U(0)) | _PREFIX[X - _X_MIN]
+                   | ((lead + _U(ord("0"))) << _U(48))
+                   | np.where(has_point & (point == 0), _U(ord(".") << 56), _U(0)))
+    digits += _U(int.from_bytes(b"0" * 8, "little"))
+    words[:, 1] = digits[:n] & _KEEP[np.clip(shown - 1, 0, 8)]
+    words[:, 2] = digits[n:] & _KEEP[np.clip(shown - 9, 0, 8)]
+    words[:, 3] = _SUFFIX[X - _X_MIN] | np.tile([_COMMA] * (n_cols - 1) + [_CRLF], n_rows)
+    text = words.astype("<u8", copy=False).view(np.uint8)
+    inner = np.flatnonzero(has_point & (point > 0))
+    if inner.size:
+        text[inner, 7] = ord(".")
+        text[inner, 6:24] = np.take_along_axis(text[inner, 6:24], _POINT_AFTER[point[inner]], 1)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text[slow, :28] = _percent_fields(x[slow])
+    return text.tobytes().translate(None, b"\0")
+
+
 def _write_trajectory(path: Path, gen_ids, result: SimResult) -> None:
     """Write ``t`` and every bus's ``omega`` as one CSV row per sample.
 
     The file is byte-identical to ``_write_csv`` over the same values: the
     ``csv.writer`` header line, ``%.17g`` for every float (``-0``, ``inf``
     and ``nan`` included) and CRLF line ends. Every value is a float, so
-    the rows are formatted ``TRAJECTORY_BLOCK`` at a time, each block by
-    one bytes ``%`` with the row template repeated once per row. That
-    leaves the float-to-text conversion as nearly the whole cost, and no
-    more than one block of text is held at a time.
+    ``_csv_rows`` formats ``TRAJECTORY_BLOCK`` rows at a time with numpy
+    integer arithmetic, falling back to ``%`` for the few values it cannot
+    make exactly; no more than one block of text is held at a time.
     """
     header = ["t"] + [f"omega_{gid}" for gid in gen_ids]
     rows = np.column_stack([result.t, result.omega.T])
-    row_template = b",".join([b"%.17g"] * len(header)) + b"\r\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(rows), TRAJECTORY_BLOCK):
-            block = rows[start:start + TRAJECTORY_BLOCK]
-            fh.write((row_template * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_csv_rows(rows[start:start + TRAJECTORY_BLOCK]))
     log.info("wrote %s", path)
 
 

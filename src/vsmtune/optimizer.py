@@ -95,6 +95,13 @@ def optimize(
     iteration cap; or the halved step falling below ``STEP_FLOOR``.
     """
     n = params.n
+    # With every total damping positive (M > 0 and the network connected are
+    # already checked), every design in the box is Hurwitz.
+    undamped = [gid for gid, floor in zip(net.gen_ids, (params.d_hat + params.d_lb).tolist())
+                if not floor > 0]
+    if undamped:
+        log.warning("total damping d_hat + d can reach 0 at buses %s, so not every "
+                    "design in the box is guaranteed stable", undamped)
     lb = np.concatenate([params.m_lb, params.d_lb])
     ub = np.concatenate([params.m_ub, params.d_ub])
     alpha = np.concatenate([params.m, params.d])

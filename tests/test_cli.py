@@ -1,13 +1,16 @@
 import csv
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vsmtune as vt
 import vsmtune.cli as cli
@@ -439,6 +442,128 @@ class TestTrajectoryWriter:
         assert written.count(b"\r\n") == n_rows + 1
 
 
+def percent_rows(block) -> bytes:
+    """Reference for ``cli._csv_rows``: one bytes ``%`` per value."""
+    return b"".join(
+        b",".join(b"%.17g" % v for v in row) + b"\r\n" for row in np.atleast_2d(block).tolist()
+    )
+
+
+def halfway_values() -> list[float]:
+    """Doubles ``x = a / 2**(j+1)``, ``a`` odd, whose ``x * 10**j`` is a half-integer in [1e16, 1e17).
+
+    With ``j = 16 - X`` that product is the 17-digit scaling of ``x``, so
+    ``%.17g`` has to break an exact tie (to even) for each of them.
+    """
+    values = []
+    for j in range(1, 25):
+        low = -(-2 * 10**16 // 5**j)
+        for a in (low | 1, (low | 1) + 2, (2 * 10**17 // 5**j - 1) | 1):
+            if a >= 2**53 or a * 5**j >= 2 * 10**17:
+                continue
+            x = math.ldexp(a, -(j + 1))
+            assert (Fraction(x) * 10**j).denominator == 2
+            values += [x, -x]
+    return values
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("extended", [True, False], ids=["kernel", "all-fallback"])
+class TestCsvRows:
+    """``_csv_rows`` against ``%``, also with the extended-precision guard off."""
+
+    @pytest.fixture(autouse=True)
+    def guard(self, extended, monkeypatch):
+        monkeypatch.setattr(cli, "_EXTENDED", extended and cli._EXTENDED)
+
+    @staticmethod
+    def check(values, n_cols=1):
+        block = np.asarray(values, dtype=float).reshape(-1, n_cols)
+        assert cli._csv_rows(block) == percent_rows(block)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.integers(0, 2**64 - 1)] * 3), min_size=1, max_size=8))
+    def test_any_bit_pattern(self, rows):
+        values = np.array(rows, dtype=np.uint64).view(np.float64)
+        self.check(values, n_cols=3)
+        self.check(values, n_cols=1)
+
+    def test_both_sides_of_every_power_of_ten(self):
+        values = []
+        for k in range(-12, 46):
+            p = 10.0 ** k
+            below, above = np.nextafter(p, 0.0), np.nextafter(p, np.inf)
+            values += [p, below, above, np.nextafter(below, 0.0), np.nextafter(above, np.inf)]
+        values = np.array(values)
+        self.check(np.concatenate([values, -values]), n_cols=10)
+
+    def test_fixed_to_scientific_switch_points(self):
+        values = []
+        for p in (1e-5, 1e-4, 1e16, 1e17):
+            values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+        self.check(values + [-v for v in values], n_cols=3)
+
+    def test_seventeen_nines_print_as_1e17(self):
+        # The literal is the double 1e17 itself, whose exponent 17 is scientific.
+        assert cli._csv_rows(np.array([[99999999999999999.0, -99999999999999999.0]])) == (
+            b"1e+17,-1e+17\r\n")
+
+    def test_halfway_products(self):
+        self.check(halfway_values(), n_cols=2)
+
+    def test_signed_zero_subnormals_and_non_finite(self):
+        values = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -3.1e-320,
+                  np.inf, -np.inf, np.nan, 2.2250738585072014e-308, 1.7976931348623157e308]
+        self.check(values, n_cols=3)
+        assert cli._csv_rows(np.array([[-0.0, np.inf, -np.inf, np.nan]])) == b"-0,inf,-inf,nan\r\n"
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_log10_off_by_one(self, shift, monkeypatch):
+        # A log10 that misses the exponent by one, either way, may only send
+        # values to the fallback: the kernel's products leave [1e16, 1e17).
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        rng = np.random.default_rng(5)
+        self.check(rng.standard_normal(2000) * 10.0 ** rng.integers(-12, 45, 2000), n_cols=10)
+
+    def test_ordinary_magnitudes_and_point_positions(self):
+        rng = np.random.default_rng(21)
+        values = rng.standard_normal(3000) * 10.0 ** rng.integers(-12, 45, 3000)
+        whole = rng.integers(-10**6, 10**6, 600) * 10.0 ** rng.integers(-4, 17, 600)
+        self.check(np.concatenate([values, whole]), n_cols=12)
+
+
+@pytest.mark.skipif(not cli._EXTENDED, reason="long double is neither x87 extended nor IEEE quad: every value falls back")
+class TestCsvRowsKernelPath:
+    """Which values reach the ``%`` fallback where the kernel runs."""
+
+    @pytest.fixture
+    def fallback_count(self, monkeypatch):
+        counted = []
+
+        def counting(values):
+            counted.append(len(values))
+            return percent_fields(values)
+
+        percent_fields = cli._percent_fields
+        monkeypatch.setattr(cli, "_percent_fields", counting)
+        return counted
+
+    def test_trajectory_values_take_the_kernel(self, fallback_count):
+        # Only products that land on a half-integer fall back: near 1e17 the
+        # long double spacing is 2**-7 or 2**-8, so well under 1% of values.
+        rng = np.random.default_rng(3)
+        block = np.column_stack([np.arange(1024) * 1e-3 + 7.0,
+                                 rng.standard_normal((1024, 9)) * 1e-3])
+        assert cli._csv_rows(block) == percent_rows(block)
+        assert sum(fallback_count) < 0.01 * block.size
+
+    def test_halfway_products_fall_back(self, fallback_count):
+        values = np.array(halfway_values())
+        assert cli._csv_rows(values[:, None]) == percent_rows(values[:, None])
+        assert fallback_count == [len(values)]
+
+
 class TestCompare:
     def test_three_variants_written(self, tmp_path):
         assert run(
@@ -688,3 +813,30 @@ class TestErrorMapping:
             assert f"INFO vsmtune.cli: wrote {tmp_path / name}\n" in out.stderr
         out = reduce("not-a-level")
         assert (out.returncode, out.stderr) == (0, "")
+
+    @pytest.mark.parametrize("launch", [
+        ["-m", "vsmtune.cli"],
+        ["-c", "from vsmtune.cli import entrypoint; entrypoint()"],
+    ], ids=["module", "entrypoint"])
+    def test_logger_name_same_on_every_launch_path(self, launch, tmp_path):
+        # Run as a module the CLI is __main__, yet it must still log as vsmtune.cli.
+        src = str(Path(vt.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, *launch, "reduce", "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src, "VSMTUNE_LOG": "debug"},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0
+        for name in ("reduced_generators.csv", "reduced_laplacian.csv"):
+            assert f"INFO vsmtune.cli: wrote {tmp_path / name}\n" in out.stderr
+
+    def test_optimize_warns_of_undamped_buses_and_still_runs(self, tmp_path, caplog):
+        doc = json.loads(bundled_network_path().read_text())
+        for bus in doc["buses"]:
+            if bus["id"] == 4:
+                bus["d_hat"] = 0.0
+        net = tmp_path / "undamped.json"
+        net.write_text(json.dumps(doc))
+        assert run("optimize", "--network", net, "--beta", 0.1, "--out", tmp_path) == 0
+        warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warned) == 1 and "buses [4]" in warned[0]

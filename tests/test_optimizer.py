@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import warnings
 
 import numpy as np
@@ -9,7 +11,7 @@ import vsmtune.objective as objective_module
 import vsmtune.optimizer as optimizer_module
 from vsmtune import DescentConfig, ObjectiveConfig, TerminationReason, optimize
 
-from conftest import grid_problem, random_connected_spec, single_machine
+from conftest import grid_problem, netgen, random_connected_spec, single_machine
 
 
 class TestDescentConfig:
@@ -347,3 +349,35 @@ class TestOptimizeErrors:
         )
         with pytest.raises(vt.StabilityError):
             optimize(net, params, ObjectiveConfig(), DescentConfig(), ref_bus=0)
+
+
+class TestDampingPrecondition:
+    """``optimize`` warns once when some total damping ``d_hat + d`` can reach 0."""
+
+    @staticmethod
+    def optimizer_warnings(caplog):
+        return [r for r in caplog.records
+                if r.name == "vsmtune.optimizer" and r.levelno == logging.WARNING]
+
+    def test_warns_once_naming_the_buses(self, caplog, twelve_net, twelve_params):
+        d_hat = twelve_params.d_hat.copy()
+        d_hat[[2, 5]] = 0.0
+        params = dataclasses.replace(twelve_params, d_hat=d_hat)
+        caplog.set_level(logging.WARNING)
+        res = optimize(twelve_net, params.with_design(*params.box_midpoint()),
+                       ObjectiveConfig(beta=0.1), DescentConfig(max_iter=3), ref_bus=0)
+        warned = self.optimizer_warnings(caplog)
+        assert len(warned) == 1
+        ids = [twelve_net.gen_ids[2], twelve_net.gen_ids[5]]
+        assert f"buses {ids}" in warned[0].getMessage()
+        assert res.iterations == 3
+
+    def test_silent_on_the_default_networks(self, caplog, twelve_net, twelve_params):
+        doc = vt.parse_network(netgen.grid_document(vt, 1))
+        grid_net = vt.reduce_network(doc.spec)
+        grid_params = vt.device_params(doc, grid_net.gen_ids)
+        caplog.set_level(logging.WARNING)
+        for net, params in ((twelve_net, twelve_params), (grid_net, grid_params)):
+            optimize(net, params.with_design(*params.box_midpoint()), ObjectiveConfig(),
+                     DescentConfig(max_iter=1), ref_bus=0)
+        assert self.optimizer_warnings(caplog) == []
