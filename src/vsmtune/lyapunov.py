@@ -9,20 +9,6 @@ are the two instances used by the H2 objective: ``F = B`` and ``F = C^T``.
 a caller can solve the dual equation later, or never. No entry point
 takes a dense ``W``.
 
-One squaring loop, ``_squarings``, forms the powers of ``T`` and ends in
-the stability certificate. ``cayley_factor(A)`` runs it to the end.
-``cayley_factor(A, reject)`` leaves it to the first primal sum, which
-squares one power per Smith step and tests ``reject``, a ``RejectAbove``
-bound on the weighted diagonal of the partial sum, before each squaring.
-Every Smith term is positive semidefinite, so with nonnegative weights
-the partial value only rises: once it exceeds the bound, or is NaN, the
-solve returns None, and the remaining squarings, steps and certificate
-are skipped. An unstable ``A`` whose unstable modes the sum sees has
-partial sums that grow without bound, and a singular shift makes them
-NaN at once, so either is rejected without an eigenvalue call; any other
-unstable ``A`` reaches the certificate, which raises. A sum that is not rejected runs the same
-products as ``cayley_factor(A)`` followed by ``solve_lyapunov``.
-
 The solver is the squared Smith iteration (Smith, SIAM J. Appl. Math.
 16(1), 1968). With ``q = |det A|^(1/n)``, the geometric mean of the
 eigenvalue moduli, the Cayley transform ``R = (A - qI)^-1``,
@@ -37,7 +23,7 @@ since ``||T^2||_F <= ||T||_F^2``. The ``j + 1`` stored powers
 ``POWER_TOL**2`` relative. The dual equation uses the transposed powers.
 Every step is a dense matrix product or one LU, so numpy alone runs it.
 
-Three facts of the swing models keep each step small:
+Two facts of the swing models keep each step small:
 
 * The right-hand sides come factored. ``solve_lyapunov`` starts the sum
   from ``(S F)(S F)^T`` and carries a factor ``G`` of width ``w`` as
@@ -50,7 +36,6 @@ Three facts of the swing models keep each step small:
   and ``(A - qI)^-1`` are eliminated through it, so LAPACK factors only
   the Schur complement of that block. Without a usable diagonal block
   the same code is the dense inverse.
-* The squaring stops one product early, on the bound above.
 
 The squaring also certifies stability: with ``N`` the last norm measured
 or bounded, ``N >= ||T^(2^m)||_F`` for ``m`` stored powers, the root
@@ -58,12 +43,29 @@ or bounded, ``N >= ||T^(2^m)||_F`` for ``m`` stored powers, the root
 eigenvalue of ``A`` has ``Re(lambda) <= -(1 - r^2) q / 4``. Only when
 that bound does not clear ``STABILITY_MARGIN`` are the eigenvalues
 computed.
+
+A ``CayleyFactor`` keeps the powers of ``T`` in one list, ``powers``;
+``square()`` appends the next one or, when none is needed, ends in the
+stability certificate. ``cayley_factor(A)`` squares to the end, and so
+does a dual sum. ``cayley_factor(A, reject)`` leaves the squaring to the
+first primal sum, which squares only once it has summed every stored
+power, and tests ``reject``, a ``RejectAbove`` bound on the weighted
+diagonal of the partial sum, before each squaring. Every Smith term is
+positive semidefinite, so with nonnegative weights the partial value
+only rises: once it exceeds the bound, or is NaN, the solve returns
+None, and the remaining squarings, steps and certificate are skipped.
+An unstable ``A`` whose unstable modes the sum sees has partial sums
+that grow without bound, and a singular shift makes them NaN at once,
+so either is rejected without an eigenvalue call; any other unstable
+``A`` reaches the certificate, which raises. A sum that is not rejected
+runs the same products as ``cayley_factor(A)`` followed by
+``solve_lyapunov``.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,18 +118,12 @@ def _diagonal_split(A: np.ndarray) -> int:
     its shift by ``-qI`` has a zero pivot; otherwise ``k`` is the order
     of ``A`` and the block is empty.
     """
+    # The block starts past min(i, j) of every off-diagonal nonzero (i, j): the
+    # row of one in the strict upper triangle, the column of one in the lower.
+    coupled = np.triu(A, 1).any(axis=1) | np.tril(A, -1).any(axis=0)
+    k = 1 + int(np.flatnonzero(coupled).max(initial=-1))
     n = A.shape[0]
-    coupled = A != 0
-    np.fill_diagonal(coupled, False)
-    coupled |= coupled.T
-    # Row i couples to a later state when its last nonzero lies right of the diagonal.
-    last = n - 1 - np.argmax(coupled[:, ::-1], axis=1)
-    rows = np.arange(n)
-    later = np.flatnonzero(coupled[rows, last] & (last > rows))
-    k = int(later[-1]) + 1 if later.size else 0
-    if n - k < 2 or not np.all(np.diagonal(A)[k:] < 0.0):
-        return n
-    return k
+    return k if n - k >= 2 and np.all(np.diagonal(A)[k:] < 0.0) else n
 
 
 def _shift_inverse(A: np.ndarray) -> tuple[float, np.ndarray]:
@@ -162,61 +158,6 @@ def _shift_inverse(A: np.ndarray) -> tuple[float, np.ndarray]:
     return q, R
 
 
-def _squarings(A: np.ndarray, q: float, R: np.ndarray) -> Iterator[np.ndarray]:
-    """The squaring loop: yield ``T, T^2, T^4, ...``, then certify stability.
-
-    ``R = (A - qI)^-1`` from ``_shift_inverse``. Each square is formed
-    only when the consumer asks for the next power, so a consumer that
-    stops early skips the remaining squarings and the certificate. After
-    the last power, stability is accepted from the squaring's bound
-    on the spectral radius of ``T``. When the bound does not clear
-    ``STABILITY_MARGIN``, or ``A - qI`` is singular, or the powers turn
-    non-finite or do not fall below ``POWER_TOL`` within
-    ``MAX_SQUARINGS``, the spectral abscissa is read from
-    ``np.linalg.eigvals`` instead.
-
-    Raises
-    ------
-    StabilityError
-        If the spectral abscissa is at or above ``STABILITY_MARGIN``, or
-        the powers of ``T`` do not converge.
-    """
-    n = A.shape[0]
-    with np.errstate(all="ignore"):
-        T = 2.0 * q * R
-        T[np.diag_indices(n)] += 1.0
-        # norm bounds ||T^(2^stored)||_F: it is that norm, or the square of
-        # the last stored power's norm.
-        norm = np.linalg.norm(T)
-    stored = 0
-    for _ in range(MAX_SQUARINGS):
-        if not norm > POWER_TOL:
-            break
-        yield T
-        stored += 1
-        with np.errstate(all="ignore"):
-            if norm * norm <= POWER_TOL:
-                norm *= norm
-                break
-            T = T @ T
-            norm = np.linalg.norm(T)
-    with np.errstate(all="ignore"):
-        converged = bool(norm <= POWER_TOL)
-        r = norm ** (0.5 ** stored)
-        certified = converged and -(1.0 - r * r) * q / 4.0 < STABILITY_MARGIN
-    if not certified:
-        abscissa = float(np.max(np.linalg.eigvals(A).real))
-        if abscissa >= STABILITY_MARGIN:
-            raise StabilityError(
-                f"system matrix is not Hurwitz (spectral abscissa {abscissa:.3e})"
-            )
-        if not converged:
-            raise StabilityError(
-                f"Cayley powers of the system matrix did not converge "
-                f"(spectral abscissa {abscissa:.3e})"
-            )
-
-
 class RejectAbove(NamedTuple):
     """Stop rule of a primal sum: reject ``X`` once ``offset + weights @ diag(X) > limit``.
 
@@ -235,66 +176,86 @@ class RejectAbove(NamedTuple):
 
 
 class CayleyFactor:
-    """Factor of ``cayley_factor``.
+    """Factor of ``cayley_factor``: ``S = sqrt(2q) (A - qI)^-1`` and the stored powers.
 
-    ``S = sqrt(2q) (A - qI)^-1`` and the powers ``T, T^2, T^4, ...`` of
-    ``T = (A - qI)^-1 (A + qI)`` that ``solve_lyapunov`` sums. The powers
-    come from ``_squarings`` as they are read, and ``powers`` reads them
-    all, so its first read also certifies stability. ``reject`` is the
-    stop rule of the primal sums, or None.
+    ``powers`` lists ``T, T^2, T^4, ...`` as far as ``square()`` has formed
+    them; ``reject`` is the stop rule of the primal sums, or None.
     """
 
-    def __init__(self, S: np.ndarray, squarings: Iterator[np.ndarray],
-                 reject: RejectAbove | None):
-        self.S = S
+    def __init__(self, A: np.ndarray, reject: RejectAbove | None):
+        with np.errstate(all="ignore"):
+            q, R = _shift_inverse(A)
+            self.S = np.sqrt(2.0 * q) * R
+            self._T = 2.0 * q * R
+            self._T[np.diag_indices(len(R))] += 1.0
+        self._A = A
+        self._q = q
         self.reject = reject
-        self._squarings = squarings
-        self._stored: list[np.ndarray] = []
+        self.powers: list[np.ndarray] = []
+        self._norm = np.inf  # ||powers[-1]||_F
+        self._complete = False
 
-    @property
-    def powers(self) -> tuple[np.ndarray, ...]:
-        self._stored.extend(self._squarings)
-        return tuple(self._stored)
+    def square(self) -> bool:
+        """Store the next power and return True, or certify stability and return False.
 
-    def _iter_powers(self) -> Iterator[np.ndarray]:
-        """The stored powers, then each further square as soon as it is formed."""
-        yield from self._stored
-        for T in self._squarings:
-            self._stored.append(T)
-            yield T
+        When the module's bound on the spectral radius of ``T`` does not
+        clear ``STABILITY_MARGIN``, or ``A - qI`` is singular, or the powers
+        turn non-finite or do not fall below ``POWER_TOL`` within
+        ``MAX_SQUARINGS``, the certificate reads the spectral abscissa from
+        ``np.linalg.eigvals``. A complete factor returns False at once.
+
+        Raises
+        ------
+        StabilityError
+            If the spectral abscissa is at or above ``STABILITY_MARGIN``,
+            or the powers of ``T`` do not converge.
+        """
+        if self._complete:
+            return False
+        stored = len(self.powers)
+        with np.errstate(all="ignore"):
+            if stored and self._norm * self._norm <= POWER_TOL:
+                norm = self._norm * self._norm
+            else:
+                T = self.powers[-1] @ self.powers[-1] if stored else self._T
+                norm = np.linalg.norm(T)
+        # norm is ||T^(2^stored)||_F, or bounds it by the square of the last power's norm.
+        if stored < MAX_SQUARINGS and norm > POWER_TOL:
+            self.powers.append(T)
+            self._norm = norm
+            return True
+        with np.errstate(all="ignore"):
+            converged = bool(norm <= POWER_TOL)
+            r = norm ** (0.5 ** stored)
+            certified = converged and -(1.0 - r * r) * self._q / 4.0 < STABILITY_MARGIN
+        if not certified:
+            abscissa = float(np.max(np.linalg.eigvals(self._A).real))
+            if abscissa >= STABILITY_MARGIN or not converged:
+                what = ("system matrix is not Hurwitz" if abscissa >= STABILITY_MARGIN
+                        else "Cayley powers of the system matrix did not converge")
+                raise StabilityError(f"{what} (spectral abscissa {abscissa:.3e})")
+        self._complete = True
+        return False
 
 
 def cayley_factor(A: np.ndarray, reject: RejectAbove | None = None) -> CayleyFactor:
     """Cayley transform of a Hurwitz ``A`` and its repeated squares, for ``solve_lyapunov``.
 
     Without ``reject``, every power is squared and stability is certified
-    here (``_squarings``). With it, the squaring is left to the first
-    primal ``solve_lyapunov``, which runs it one power per Smith step and
-    stops early when ``reject`` fires.
+    here. With it, the squaring is left to the first primal
+    ``solve_lyapunov``, which stops early when ``reject`` fires.
 
     Raises
     ------
     StabilityError
-        Without ``reject``: if the spectral abscissa is at or above
-        ``STABILITY_MARGIN``, or the powers of ``T`` do not converge.
+        Without ``reject``: as ``CayleyFactor.square``.
     ValueError
         If ``A`` is not a finite square matrix.
     """
-    A = _as_square(A, "A")
-    with np.errstate(all="ignore"):
-        q, R = _shift_inverse(A)
-        S = np.sqrt(2.0 * q) * R
-    factor = CayleyFactor(S, _squarings(A, q, R), reject)
-    if reject is None:
-        factor.powers  # squares to the end, so an unstable A raises here
+    factor = CayleyFactor(_as_square(A, "A"), reject)
+    while reject is None and factor.square():
+        pass
     return factor
-
-
-def _oriented(factor: CayleyFactor, dual: bool) -> tuple[np.ndarray, Iterable[np.ndarray]]:
-    """``factor``, or the factor of ``A^T`` (every matrix transposed) when ``dual``."""
-    if dual:
-        return factor.S.T, [T.T for T in factor.powers]
-    return factor.S, factor._iter_powers()
 
 
 def solve_lyapunov(
@@ -310,11 +271,10 @@ def solve_lyapunov(
     most the state count, and the remaining steps are dense. The result is
     explicitly symmetrized and positive semidefinite.
 
-    A primal sum reads each power as it needs it, so the squaring and its
-    stability certificate run inside the sum, and ``StabilityError`` can
-    be raised here. When ``factor.reject`` is set, it is tested on the
-    starting sum and after each step, and the first partial sum that it
-    rejects ends the solve, before the next squaring, with None.
+    A primal sum calls ``factor.square()`` once it has summed every stored
+    power, and a dual sum squares to the end first, so either can raise
+    ``StabilityError``. A primal sum returns None at the first partial
+    sum, the starting one included, that ``factor.reject`` rejects.
 
     The residual ``||A X + X A^T + F F^T||_F`` stays within
     ``RESIDUAL_TOL * max(1, ||F F^T||_F)`` on the dense, well-damped
@@ -328,7 +288,9 @@ def solve_lyapunov(
     ValueError
         If ``F`` has the wrong number of rows or non-finite entries.
     """
-    S, powers = _oriented(factor, dual)
+    while dual and factor.square():
+        pass
+    S = factor.S.T if dual else factor.S
     F = np.asarray(F, dtype=float)
     dim = S.shape[0]
     if F.ndim != 2 or F.shape[0] != dim:
@@ -354,7 +316,10 @@ def solve_lyapunov(
     with np.errstate(all="ignore"):
         if rejected():
             return None
-        for T in powers:
+        j = 0
+        while j < len(factor.powers) or factor.square():
+            T = factor.powers[j].T if dual else factor.powers[j]
+            j += 1
             if X is None and width <= dim:
                 np.matmul(Gt[:width], T.T, out=Gt[width:2 * width])
                 width *= 2

@@ -6,13 +6,14 @@ Iterates ``alpha <- Proj[alpha - gamma * grad J(alpha)]`` where
 Barzilai-Borwein step ``s's / s'y`` from the last accepted step ``s`` and
 gradient change ``y``; an Armijo line search along the projection arc
 halves it until J decreases enough, and rejects trials whose dynamics
-are not Hurwitz. A trial costs at most one Cayley factorization, whose
-only LAPACK calls act on the (n-1)-square angle block, and one primal
-gramian solve from the factored right-hand side ``B``, which give J. The
-trial passes its Armijo threshold to ``eval_objective`` as
-``reject_above``, so a trial whose partial Smith sum already exceeds it
-stops there, before its remaining squarings and stability certificate,
-and counts as rejected like a non-Hurwitz one. Only the accepted trial's
+are not Hurwitz. A halving whose clipped trial equals the one just
+rejected is skipped without an evaluation. A trial costs at most one
+Cayley factorization, whose only LAPACK calls act on the (n-1)-square
+angle block, and one primal gramian solve from the factored right-hand
+side ``B``, which give J. The trial passes its Armijo threshold to
+``eval_objective`` as ``reject_above``, so a trial whose partial Smith
+sum already exceeds it stops there, before its remaining squarings and
+stability certificate, and counts as rejected like a non-Hurwitz one. Only the accepted trial's
 gradient is read, so only it solves the dual gramian from the same
 factor and ``C^T``, and that gradient serves the next iteration. At the
 final point both gramians' Lyapunov residuals are
@@ -126,9 +127,14 @@ def optimize(
             break
 
         gamma = bb_step if iterations else 1.0 / float(np.max(np.abs(pg)))
-        accepted = None
+        accepted = rejected = None
         while gamma >= STEP_FLOOR:
             trial = np.clip(alpha - gamma * grad, lb, ub)
+            # A trial that clips to the last rejected one (None before the first)
+            # would repeat its step, threshold and verdict, so it is not evaluated.
+            if np.array_equal(trial, rejected):
+                gamma *= STEP_SHRINK
+                continue
             step = trial - alpha
             threshold = J + SUFFICIENT_DECREASE * float(grad @ step)
             try:
@@ -141,6 +147,7 @@ def optimize(
             if ev_trial is not None and ev_trial.J_total <= threshold:
                 accepted = (trial, ev_trial)
                 break
+            rejected = trial
             gamma *= STEP_SHRINK
 
         if accepted is None:

@@ -9,7 +9,7 @@ import vsmtune as vt
 from vsmtune import StabilityError, lyapunov
 from vsmtune.lyapunov import cayley_factor, check_residual, is_hurwitz, solve_lyapunov
 
-from conftest import random_connected_spec, random_stable_system
+from conftest import grid_problem, random_connected_spec, random_stable_system
 
 
 def residual(A, X, W):
@@ -439,3 +439,36 @@ class TestFactoredKernel:
             solve_lyapunov(factor, np.ones((2, 1)))
         with pytest.raises(ValueError, match="non-finite"):
             solve_lyapunov(factor, np.full((3, 1), np.nan))
+
+
+class TestLazySquaring:
+    """A factor squared inside a primal sum against one squared by ``cayley_factor(A)``."""
+
+    @pytest.mark.parametrize("case", ["twelve-bus", "grid50"])
+    def test_unfired_reject_gives_the_eager_factor(self, case, twelve_net, twelve_params):
+        net, params = (twelve_net, twelve_params) if case == "twelve-bus" else grid_problem(3)
+        ss = vt.assemble_state_space(net, params, 0)
+        w = np.einsum("ij,ij->j", ss.C, ss.C)
+        lazy = cayley_factor(ss.A, lyapunov.RejectAbove(w, 0.0, np.inf))
+        assert lazy.powers == []
+        P = solve_lyapunov(lazy, ss.B)
+        eager = cayley_factor(ss.A)
+        assert len(lazy.powers) == len(eager.powers) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(lazy.powers, eager.powers))
+        assert np.array_equal(P, solve_lyapunov(eager, ss.B))
+        assert np.array_equal(solve_lyapunov(lazy, ss.C.T, dual=True),
+                              solve_lyapunov(eager, ss.C.T, dual=True))
+
+    @pytest.mark.parametrize("kind", ["unstable", "unresolved"])
+    def test_dual_of_lazy_factor_raises_like_the_eager_one(self, kind):
+        if kind == "unstable":
+            A, _, C = random_stable_system(np.random.default_rng(13), 20)
+            A = A + 3.0 * np.eye(20)
+        else:
+            A, C = np.diag([-1e-3, -1e30]), np.eye(2)
+        with pytest.raises(StabilityError) as eager:
+            cayley_factor(A)
+        lazy = cayley_factor(A, lyapunov.RejectAbove(np.ones(len(A)), 0.0, np.inf))
+        with pytest.raises(StabilityError) as raised:
+            solve_lyapunov(lazy, C.T, dual=True)
+        assert str(raised.value) == str(eager.value)

@@ -285,16 +285,18 @@ class TestEarlyRejection:
     def test_low_threshold_stops_the_squaring(self, monkeypatch, twelve_net, twelve_params):
         # A threshold halfway up the H2 part is passed by a partial sum,
         # so fewer powers are formed than the full evaluation forms.
-        squarings = lyapunov._squarings
-        formed = []
+        square = lyapunov.CayleyFactor.square
+        factors, formed = [], []  # powers stored per factor, in order of first square()
 
-        def counting(*args):
-            formed.append(0)
-            for T in squarings(*args):
-                formed[-1] += 1
-                yield T
+        def counting(factor):
+            if not factors or factors[-1] is not factor:
+                factors.append(factor)
+                formed.append(0)
+            stored = square(factor)
+            formed[-1] += stored
+            return stored
 
-        monkeypatch.setattr(lyapunov, "_squarings", counting)
+        monkeypatch.setattr(lyapunov.CayleyFactor, "square", counting)
         rng = np.random.default_rng(12)
         for net, params, cfg in rejection_cases(twelve_net, twelve_params):
             p = box_point(params, rng)

@@ -324,6 +324,30 @@ class TestEarlyRejectionPath:
         assert np.max(np.abs(res.J_history - full.J_history) / np.abs(full.J_history)) <= 1e-14
 
 
+class TestRepeatedTrials:
+    def test_clipped_repeat_of_a_rejected_trial_is_not_evaluated(self, monkeypatch):
+        # On this grid, long trial steps clip every moving coordinate to the
+        # box, so halving gamma returns the corner just rejected. Evaluating
+        # every halving took 30 evaluations, 19 of them a repeat of the one
+        # before, to reach the result recorded below.
+        net, params = grid_problem(38, 20)
+        eval_objective = optimizer_module.eval_objective
+        calls = []
+
+        def recording(trial, *args, reject_above=None):
+            calls.append((np.concatenate([trial.m, trial.d]), reject_above))
+            return eval_objective(trial, *args, reject_above=reject_above)
+
+        monkeypatch.setattr(optimizer_module, "eval_objective", recording)
+        res = optimize(net, params, ObjectiveConfig(), DescentConfig(max_iter=30))
+        assert not any(np.array_equal(a, b) and s == t
+                       for (a, s), (b, t) in zip(calls, calls[1:]))
+        assert len(calls) == 11
+        assert res.iterations == 8
+        assert res.termination_reason == TerminationReason.gradient_tol
+        assert res.J_history[-1] == pytest.approx(3.7045029445626323, rel=1e-12)
+
+
 class TestObservedProperties:
     def test_total_inertia_shrinks_as_beta_grows(self, twelve_net, twelve_params):
         # Observed on the bundled case (nonconvexity admits exceptions in
