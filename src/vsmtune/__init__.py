@@ -32,7 +32,6 @@ from .netmodel import (
     build_laplacian,
     kron_reduce,
     reduce_network,
-    validate_network,
 )
 from .objective import (
     ObjectiveConfig,
@@ -45,41 +44,3 @@ from .optimizer import DescentConfig, OptResult, TerminationReason, optimize
 from .simulator import Disturbance, SimResult, compare_designs, simulate
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Bus",
-    "ConfigurationError",
-    "DescentConfig",
-    "DeviceParams",
-    "Disturbance",
-    "Line",
-    "NetworkDocument",
-    "NetworkSpec",
-    "ObjectiveConfig",
-    "ObjectiveEval",
-    "OptResult",
-    "ParameterError",
-    "ReducedNetwork",
-    "SimResult",
-    "StabilityError",
-    "StateSpace",
-    "TerminationReason",
-    "ValidationError",
-    "VsmtuneError",
-    "assemble_state_space",
-    "build_laplacian",
-    "bundled_network_path",
-    "compare_designs",
-    "device_params",
-    "eval_objective",
-    "grad_h2",
-    "kron_reduce",
-    "load_network",
-    "objective_value",
-    "optimize",
-    "parse_network",
-    "reduce_network",
-    "serialize_network",
-    "simulate",
-    "validate_network",
-]

@@ -46,11 +46,11 @@ computed.
 
 A ``CayleyFactor`` keeps the powers of ``T`` in one list, ``powers``;
 ``square()`` appends the next one or, when none is needed, ends in the
-stability certificate. ``cayley_factor(A)`` squares to the end, and so
-does a dual sum. ``cayley_factor(A, reject)`` leaves the squaring to the
-first primal sum, which squares only once it has summed every stored
-power, and tests ``reject``, a ``RejectAbove`` bound on the weighted
-diagonal of the partial sum, before each squaring. Every Smith term is
+stability certificate. ``cayley_factor(A)`` squares to the end.
+``cayley_factor(A, reject)`` leaves the squaring to the first sum, which
+squares only once it has summed every stored power; a primal sum tests
+``reject``, a ``RejectAbove`` bound on the weighted diagonal of the
+partial sum, before each squaring. Every Smith term is
 positive semidefinite, so with nonnegative weights the partial value
 only rises: once it exceeds the bound, or is NaN, the solve returns
 None, and the remaining squarings, steps and certificate are skipped.
@@ -242,8 +242,8 @@ def cayley_factor(A: np.ndarray, reject: RejectAbove | None = None) -> CayleyFac
     """Cayley transform of a Hurwitz ``A`` and its repeated squares, for ``solve_lyapunov``.
 
     Without ``reject``, every power is squared and stability is certified
-    here. With it, the squaring is left to the first primal
-    ``solve_lyapunov``, which stops early when ``reject`` fires.
+    here. With it, the squaring is left to the first ``solve_lyapunov``,
+    where a primal sum stops early when ``reject`` fires.
 
     Raises
     ------
@@ -271,10 +271,10 @@ def solve_lyapunov(
     most the state count, and the remaining steps are dense. The result is
     explicitly symmetrized and positive semidefinite.
 
-    A primal sum calls ``factor.square()`` once it has summed every stored
-    power, and a dual sum squares to the end first, so either can raise
-    ``StabilityError``. A primal sum returns None at the first partial
-    sum, the starting one included, that ``factor.reject`` rejects.
+    A sum calls ``factor.square()`` once it has summed every stored power,
+    so it can raise ``StabilityError``. A primal sum returns None at the
+    first partial sum, the starting one included, that ``factor.reject``
+    rejects.
 
     The residual ``||A X + X A^T + F F^T||_F`` stays within
     ``RESIDUAL_TOL * max(1, ||F F^T||_F)`` on the dense, well-damped
@@ -288,8 +288,6 @@ def solve_lyapunov(
     ValueError
         If ``F`` has the wrong number of rows or non-finite entries.
     """
-    while dual and factor.square():
-        pass
     S = factor.S.T if dual else factor.S
     F = np.asarray(F, dtype=float)
     dim = S.shape[0]

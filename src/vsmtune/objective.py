@@ -24,30 +24,22 @@ damping block eliminated so that LAPACK sees only the (n-1)-square angle
 block), and ``solve_lyapunov`` sums ``P`` from that factor and the factor
 ``B`` of ``B B^T``, which gives J. ``C = [0, M^(1/2)]`` makes ``C^T C``
 diagonal, so ``J_h2 = w @ diag(P)`` with ``w = diag(C^T C)``. ``Q`` and the
-gradient are solved from the same factor and ``C^T`` when one of them is
-first read, so a caller that only compares values (a line-search trial)
-pays one factorization and one primal solve. A caller that passes
+gradient are solved from the same factor and ``C^T`` in the same call, so
+the factor is freed when it returns. A caller that passes
 ``reject_above`` pays less when J is above it: the squaring runs inside
 the primal sum, and the partial value ``J_reg + w @ diag(X_k)``, which
 only rises towards J, ends the evaluation (None) as soon as it exceeds
-the bound.
+the bound, before the dual solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .lyapunov import (
-    CayleyFactor,
-    RejectAbove,
-    cayley_factor,
-    check_residual,
-    solve_lyapunov,
-)
+from .lyapunov import RejectAbove, cayley_factor, check_residual, solve_lyapunov
 from .netmodel import DeviceParams, ReducedNetwork, StateSpace, assemble_state_space
 
 
@@ -73,38 +65,20 @@ class ObjectiveConfig:
 
 @dataclass(frozen=True)
 class ObjectiveEval:
-    """One objective evaluation: value split, gradient, and gramians.
+    """One objective evaluation: value split, both gramians, and the gradient.
 
-    ``J_*`` and ``P`` are computed on construction; ``Q``, ``grad_m`` and
-    ``grad_d`` on first read, from ``factor``, the ``cayley_factor`` of
-    ``ss.A``, and are then cached.
+    ``ss`` is the realization that ``P`` and ``Q`` solve, kept for
+    ``check_residuals``.
     """
 
     J_h2: float
     J_reg: float
     J_total: float
     P: np.ndarray
+    Q: np.ndarray
+    grad_m: np.ndarray
+    grad_d: np.ndarray
     ss: StateSpace = field(repr=False)
-    params: DeviceParams = field(repr=False)
-    beta: float = field(repr=False)
-    factor: CayleyFactor = field(repr=False)
-
-    @cached_property
-    def Q(self) -> np.ndarray:
-        return solve_lyapunov(self.factor, self.ss.C.T, dual=True)
-
-    @cached_property
-    def _grad(self) -> tuple[np.ndarray, np.ndarray]:
-        grad_m, grad_d = grad_h2(self.ss, self.params, P=self.P, Q=self.Q)
-        return grad_m + 2.0 * self.beta * self.params.m, grad_d
-
-    @property
-    def grad_m(self) -> np.ndarray:
-        return self._grad[0]
-
-    @property
-    def grad_d(self) -> np.ndarray:
-        return self._grad[1]
 
     def check_residuals(self) -> None:
         """Warn when ``P`` or ``Q`` misses the kernel's residual bound (``check_residual``)."""
@@ -149,13 +123,13 @@ def eval_objective(
     ref_bus: int,
     reject_above: float | None = None,
 ) -> ObjectiveEval | None:
-    """Assemble the realization and evaluate the value; the gradient follows on first read.
+    """Assemble the realization and evaluate the value, both gramians and the gradient.
 
     With ``reject_above``, returns None when ``J_total`` exceeds it or is
     NaN. The primal sum then stops at the first Smith step whose partial
     value ``J_reg + w @ diag(X_k)`` exceeds it, which is sound because
-    that value only rises towards ``J_total``, and the remaining squarings
-    and the stability certificate are skipped.
+    that value only rises towards ``J_total``, and the remaining squarings,
+    the stability certificate and the dual solve are skipped.
 
     Raises ``StabilityError`` when the realization is not Hurwitz and the
     evaluation is not rejected first.
@@ -173,15 +147,17 @@ def eval_objective(
     J_total = J_h2 + J_reg
     if reject is not None and not J_total <= reject_above:
         return None
+    Q = solve_lyapunov(factor, ss.C.T, dual=True)
+    grad_m, grad_d = grad_h2(ss, params, P=P, Q=Q)
     return ObjectiveEval(
         J_h2=J_h2,
         J_reg=J_reg,
         J_total=J_total,
         P=P,
+        Q=Q,
+        grad_m=grad_m + 2.0 * cfg.beta * params.m,
+        grad_d=grad_d,
         ss=ss,
-        params=params,
-        beta=cfg.beta,
-        factor=factor,
     )
 
 

@@ -13,11 +13,11 @@ angle block, and one primal gramian solve from the factored right-hand
 side ``B``, which give J. The trial passes its Armijo threshold to
 ``eval_objective`` as ``reject_above``, so a trial whose partial Smith
 sum already exceeds it stops there, before its remaining squarings and
-stability certificate, and counts as rejected like a non-Hurwitz one. Only the accepted trial's
-gradient is read, so only it solves the dual gramian from the same
-factor and ``C^T``, and that gradient serves the next iteration. At the
-final point both gramians' Lyapunov residuals are
-checked, and a ``RuntimeWarning`` reports one that misses its bound.
+stability certificate, and counts as rejected like a non-Hurwitz one.
+Only an accepted trial solves the dual gramian from the same factor and
+``C^T``, and its gradient serves the next iteration. At the final point
+both gramians' Lyapunov residuals are checked, and a ``RuntimeWarning``
+reports one that misses its bound.
 Convergence is judged on the unit-step projected-gradient (KKT) residual
 rather than the raw gradient norm, since optima routinely sit on the
 box boundary.
@@ -164,7 +164,6 @@ def optimize(
         if log.isEnabledFor(logging.DEBUG) and iterations % 50 == 0:
             log.debug("iter %d: J=%.9g gamma=%.3g", iterations, J, gamma)
 
-    # The final gradient was read, so both gramians are at hand.
     ev.check_residuals()
 
     return OptResult(

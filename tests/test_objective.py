@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import vsmtune as vt
+import vsmtune.objective as objective_module
 from vsmtune import ObjectiveConfig, StateSpace, lyapunov
 
 from conftest import (
@@ -237,6 +241,27 @@ class TestEvalObjective:
         assert np.max(np.abs(ev.grad_m - grad_m)) <= 1e-13 * np.max(np.abs(grad_m))
         assert np.max(np.abs(ev.grad_d - grad_d)) <= 1e-13 * np.max(np.abs(grad_d))
 
+    @pytest.mark.parametrize("with_reject", [False, True])
+    def test_factor_is_freed_when_the_call_returns(self, monkeypatch, twelve_net, twelve_params,
+                                                   with_reject):
+        # An evaluation that is not rejected keeps its gramians and gradient,
+        # not the Cayley factor and its powers.
+        cayley_factor, refs = objective_module.cayley_factor, []
+
+        def recording(*args):
+            factor = cayley_factor(*args)
+            refs.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(objective_module, "cayley_factor", recording)
+        cfg = ObjectiveConfig(beta=0.1)
+        J = vt.objective_value(twelve_params, cfg, twelve_net, 0)
+        reject_above = 2.0 * J if with_reject else None
+        ev = vt.eval_objective(twelve_params, cfg, twelve_net, 0, reject_above=reject_above)
+        gc.collect()
+        assert len(refs) == 2 and refs[-1]() is None
+        assert ev.J_total == J
+
     def test_beta_must_be_finite(self):
         with pytest.raises(vt.ConfigurationError, match="finite"):
             ObjectiveConfig(beta=np.inf)
@@ -300,10 +325,12 @@ class TestEarlyRejection:
         rng = np.random.default_rng(12)
         for net, params, cfg in rejection_cases(twelve_net, twelve_params):
             p = box_point(params, rng)
+            ss = vt.assemble_state_space(net, p, 0, eta=cfg.eta)
+            powers = len(lyapunov.cayley_factor(ss.A).powers)
             full = vt.eval_objective(p, cfg, net, 0)
             halfway = full.J_reg + 0.5 * full.J_h2
             assert vt.eval_objective(p, cfg, net, 0, reject_above=halfway) is None
-            assert formed[-1] < formed[-2] == len(full.factor.powers)
+            assert formed[-1] < formed[-2] == powers
 
     def test_non_hurwitz_rejected_without_eigvals(self, monkeypatch):
         rng = np.random.default_rng(13)
