@@ -4,10 +4,9 @@ Solves ``A X + X A^T + W = 0`` for Hurwitz ``A`` and a right-hand side
 given by its factor, ``W = F F^T``, and, from the same factorization, the
 dual ``A^T Y + Y A + W = 0``. Controllability and observability gramians
 are the two instances used by the H2 objective: ``F = B`` and ``F = C^T``.
-``cayley_factor(A)`` factors ``A`` and checks stability, and
-``solve_lyapunov(factor, F, dual)`` sums one series from that factor, so
-a caller can solve the dual equation later, or never. No entry point
-takes a dense ``W``.
+``CayleyFactor(A)`` factors ``A``, and ``solve_lyapunov(factor, F, dual)``
+sums one series from that factor, so a caller can solve the dual equation
+later, or never. No entry point takes a dense ``W``.
 
 The solver is the squared Smith iteration (Smith, SIAM J. Appl. Math.
 16(1), 1968). With ``q = |det A|^(1/n)``, the geometric mean of the
@@ -44,13 +43,13 @@ eigenvalue of ``A`` has ``Re(lambda) <= -(1 - r^2) q / 4``. Only when
 that bound does not clear ``STABILITY_MARGIN`` are the eigenvalues
 computed.
 
-A ``CayleyFactor`` keeps the powers of ``T`` in one list, ``powers``;
-``square()`` appends the next one or, when none is needed, ends in the
-stability certificate. ``cayley_factor(A)`` squares to the end.
-``cayley_factor(A, reject)`` leaves the squaring to the first sum, which
-squares only once it has summed every stored power; a primal sum tests
+A ``CayleyFactor`` holds no power until a sum squares: it keeps the
+powers of ``T`` in one list, ``powers``, and ``square()`` appends the next
+one or, when none is needed, ends in the stability certificate. A sum
+squares only once it has summed every stored power, so the first sum on a
+factor forms its powers and later sums reuse them. A sum may take
 ``reject``, a ``RejectAbove`` bound on the weighted diagonal of the
-partial sum, before each squaring. Every Smith term is
+partial sum, which it tests before each squaring. Every Smith term is
 positive semidefinite, so with nonnegative weights the partial value
 only rises: once it exceeds the bound, or is NaN, the solve returns
 None, and the remaining squarings, steps and certificate are skipped.
@@ -58,8 +57,7 @@ An unstable ``A`` whose unstable modes the sum sees has partial sums
 that grow without bound, and a singular shift makes them NaN at once,
 so either is rejected without an eigenvalue call; any other unstable
 ``A`` reaches the certificate, which raises. A sum that is not rejected
-runs the same products as ``cayley_factor(A)`` followed by
-``solve_lyapunov``.
+runs the same products, in the same order, as one without ``reject``.
 """
 
 from __future__ import annotations
@@ -176,13 +174,15 @@ class RejectAbove(NamedTuple):
 
 
 class CayleyFactor:
-    """Factor of ``cayley_factor``: ``S = sqrt(2q) (A - qI)^-1`` and the stored powers.
+    """Cayley transform of ``A``: ``S = sqrt(2q) (A - qI)^-1``, ``T`` and its stored powers.
 
     ``powers`` lists ``T, T^2, T^4, ...`` as far as ``square()`` has formed
-    them; ``reject`` is the stop rule of the primal sums, or None.
+    them, none at first. Raises ``ValueError`` if ``A`` is not a finite
+    square matrix.
     """
 
-    def __init__(self, A: np.ndarray, reject: RejectAbove | None):
+    def __init__(self, A: np.ndarray):
+        A = _as_square(A, "A")
         with np.errstate(all="ignore"):
             q, R = _shift_inverse(A)
             self.S = np.sqrt(2.0 * q) * R
@@ -190,7 +190,6 @@ class CayleyFactor:
             self._T[np.diag_indices(len(R))] += 1.0
         self._A = A
         self._q = q
-        self.reject = reject
         self.powers: list[np.ndarray] = []
         self._norm = np.inf  # ||powers[-1]||_F
         self._complete = False
@@ -238,32 +237,12 @@ class CayleyFactor:
         return False
 
 
-def cayley_factor(A: np.ndarray, reject: RejectAbove | None = None) -> CayleyFactor:
-    """Cayley transform of a Hurwitz ``A`` and its repeated squares, for ``solve_lyapunov``.
-
-    Without ``reject``, every power is squared and stability is certified
-    here. With it, the squaring is left to the first ``solve_lyapunov``,
-    where a primal sum stops early when ``reject`` fires.
-
-    Raises
-    ------
-    StabilityError
-        Without ``reject``: as ``CayleyFactor.square``.
-    ValueError
-        If ``A`` is not a finite square matrix.
-    """
-    factor = CayleyFactor(_as_square(A, "A"), reject)
-    while reject is None and factor.square():
-        pass
-    return factor
-
-
 def solve_lyapunov(
-    factor: CayleyFactor, F: np.ndarray, dual: bool = False
+    factor: CayleyFactor, F: np.ndarray, dual: bool = False, reject: RejectAbove | None = None
 ) -> np.ndarray | None:
     """Solve ``A X + X A^T + F F^T = 0``, or ``A^T X + X A + F F^T = 0`` when ``dual``.
 
-    ``factor`` is ``cayley_factor(A)``, and ``F`` has one row per state.
+    ``factor`` is ``CayleyFactor(A)``, and ``F`` has one row per state.
     The dual equation is the primal one for ``A^T``, whose factor is the
     transpose of every matrix in ``factor``. The sum starts from ``G G^T``
     with ``G = S F`` and applies ``X <- X + T X T^T`` for each power ``T``;
@@ -272,9 +251,8 @@ def solve_lyapunov(
     explicitly symmetrized and positive semidefinite.
 
     A sum calls ``factor.square()`` once it has summed every stored power,
-    so it can raise ``StabilityError``. A primal sum returns None at the
-    first partial sum, the starting one included, that ``factor.reject``
-    rejects.
+    so it can raise ``StabilityError``. It returns None at the first
+    partial sum, the starting one included, that ``reject`` rejects.
 
     The residual ``||A X + X A^T + F F^T||_F`` stays within
     ``RESIDUAL_TOL * max(1, ||F F^T||_F)`` on the dense, well-damped
@@ -286,16 +264,17 @@ def solve_lyapunov(
     Raises
     ------
     ValueError
-        If ``F`` has the wrong number of rows or non-finite entries.
+        If ``F`` has the wrong number of rows, no columns or non-finite entries.
     """
     S = factor.S.T if dual else factor.S
     F = np.asarray(F, dtype=float)
     dim = S.shape[0]
     if F.ndim != 2 or F.shape[0] != dim:
         raise ValueError(f"F must have {dim} rows, got shape {F.shape}")
+    if F.shape[1] == 0:
+        raise ValueError("F has no columns")
     if not np.all(np.isfinite(F)):
         raise ValueError("F contains non-finite entries")
-    reject = None if dual else factor.reject
     width = F.shape[1]
     rows = width
     while rows <= dim:

@@ -18,18 +18,18 @@ omega-row of ``A``, one diagonal entry of ``B B^T`` and ``C^T C``), so
 all 2n partials reduce to O(n) cheap contractions of ``P Q`` instead of
 2n extra Lyapunov solves.
 
-``eval_objective`` is the one evaluator: it factors ``A`` once with
-``cayley_factor`` (the Cayley transform and its repeated squares, with the
-damping block eliminated so that LAPACK sees only the (n-1)-square angle
-block), and ``solve_lyapunov`` sums ``P`` from that factor and the factor
-``B`` of ``B B^T``, which gives J. ``C = [0, M^(1/2)]`` makes ``C^T C``
-diagonal, so ``J_h2 = w @ diag(P)`` with ``w = diag(C^T C)``. ``Q`` and the
-gradient are solved from the same factor and ``C^T`` in the same call, so
-the factor is freed when it returns. A caller that passes
-``reject_above`` pays less when J is above it: the squaring runs inside
-the primal sum, and the partial value ``J_reg + w @ diag(X_k)``, which
-only rises towards J, ends the evaluation (None) as soon as it exceeds
-the bound, before the dual solve.
+``eval_objective`` is the one evaluator: it factors ``A`` once as a
+``CayleyFactor`` (the Cayley transform, with the damping block eliminated
+so that LAPACK sees only the (n-1)-square angle block), and
+``solve_lyapunov`` sums ``P`` from that factor and the factor ``B`` of
+``B B^T``, squaring the transform as it goes, which gives J.
+``C = [0, M^(1/2)]`` makes ``C^T C`` diagonal, so ``J_h2 = w @ diag(P)``
+with ``w = diag(C^T C)``. ``Q`` and the gradient are solved from the same
+factor and ``C^T`` in the same call, so the factor is freed when it
+returns. A caller that passes ``reject_above`` pays less when J is above
+it: it is the primal sum's stop rule, and the partial value
+``J_reg + w @ diag(X_k)``, which only rises towards J, ends the
+evaluation (None) as soon as it exceeds the bound, before the dual solve.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .lyapunov import RejectAbove, cayley_factor, check_residual, solve_lyapunov
+from .lyapunov import CayleyFactor, RejectAbove, check_residual, solve_lyapunov
 from .netmodel import DeviceParams, ReducedNetwork, StateSpace, assemble_state_space
 
 
@@ -139,8 +139,8 @@ def eval_objective(
     # C = [0, M^(1/2)], so C^T C is diagonal and trace(C P C^T) = w @ diag(P).
     w = np.einsum("ij,ij->j", ss.C, ss.C)
     reject = None if reject_above is None else RejectAbove(w, J_reg, reject_above)
-    factor = cayley_factor(ss.A, reject)
-    P = solve_lyapunov(factor, ss.B)
+    factor = CayleyFactor(ss.A)
+    P = solve_lyapunov(factor, ss.B, reject=reject)
     if P is None:
         return None
     J_h2 = float(w @ np.diagonal(P))

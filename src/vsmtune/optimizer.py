@@ -11,9 +11,9 @@ rejected is skipped without an evaluation. A trial costs at most one
 Cayley factorization, whose only LAPACK calls act on the (n-1)-square
 angle block, and one primal gramian solve from the factored right-hand
 side ``B``, which give J. The trial passes its Armijo threshold to
-``eval_objective`` as ``reject_above``, so a trial whose partial Smith
-sum already exceeds it stops there, before its remaining squarings and
-stability certificate, and counts as rejected like a non-Hurwitz one.
+``eval_objective`` as ``reject_above``, the stop rule of its primal
+sum, so a trial whose partial Smith sum exceeds it stops before its
+remaining squarings and certificate, rejected like a non-Hurwitz one.
 Only an accepted trial solves the dual gramian from the same factor and
 ``C^T``, and its gradient serves the next iteration. At the final point
 both gramians' Lyapunov residuals are checked, and a ``RuntimeWarning``

@@ -21,7 +21,7 @@ from vsmtune import (
     optimize,
     simulate,
 )
-from vsmtune.lyapunov import cayley_factor, solve_lyapunov
+from vsmtune.lyapunov import CayleyFactor, solve_lyapunov
 
 from conftest import gramians, h2_value, output_energy, random_stable_system, single_machine
 
@@ -81,7 +81,7 @@ def test_criterion_1_lyapunov_oracle():
         F = np.array([[0.0], [np.sqrt(w)]])
         for k in (0.5, 1.0, 2.0):
             for c in (0.5, 1.0, 2.0):
-                factor = cayley_factor(np.array([[0.0, 1.0], [-k, -c]]))
+                factor = CayleyFactor(np.array([[0.0, 1.0], [-k, -c]]))
                 X_dual = solve_lyapunov(factor, F, dual=True)
                 expect_dual = np.diag([k * w / (2 * c), w / (2 * c)])
                 assert np.max(np.abs(X_dual - expect_dual)) < 1e-10 * np.max(expect_dual)
@@ -94,7 +94,7 @@ def test_criterion_1_lyapunov_oracle():
             dim = int(rng.integers(1, 41))
             A, B, _ = random_stable_system(rng, dim)
             W = B @ B.T
-            X = solve_lyapunov(cayley_factor(A), B)
+            X = solve_lyapunov(CayleyFactor(A), B)
             residual = np.linalg.norm(A @ X + X @ A.T + W, "fro")
             assert residual <= 1e-8 * max(1.0, np.linalg.norm(W, "fro"))
 
@@ -105,7 +105,7 @@ def test_criterion_2_trace_duality(twelve_net, twelve_params):
         for _ in range(50):
             dim = int(rng.integers(2, 25))
             A, B, C = random_stable_system(rng, dim)
-            factor = cayley_factor(A)
+            factor = CayleyFactor(A)
             P = solve_lyapunov(factor, B)
             Q = solve_lyapunov(factor, C.T, dual=True)
             left = float(np.trace(C @ P @ C.T))
@@ -113,7 +113,7 @@ def test_criterion_2_trace_duality(twelve_net, twelve_params):
             assert abs(left - right) <= 1e-10 * left
 
         ss = vt.assemble_state_space(twelve_net, twelve_params, 0)
-        factor = cayley_factor(ss.A)
+        factor = CayleyFactor(ss.A)
         P = solve_lyapunov(factor, ss.B)
         Q = solve_lyapunov(factor, ss.C.T, dual=True)
         left = float(np.trace(ss.C @ P @ ss.C.T))

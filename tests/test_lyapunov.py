@@ -7,7 +7,7 @@ from scipy import linalg
 
 import vsmtune as vt
 from vsmtune import StabilityError, lyapunov
-from vsmtune.lyapunov import cayley_factor, check_residual, is_hurwitz, solve_lyapunov
+from vsmtune.lyapunov import CayleyFactor, check_residual, is_hurwitz, solve_lyapunov
 
 from conftest import grid_problem, random_connected_spec, random_stable_system
 
@@ -22,7 +22,7 @@ def rel_diff(X, ref):
 
 def solve(A, F):
     """The kernel's ``X`` in ``A X + X A^T + F F^T = 0``, from a fresh factor of ``A``."""
-    return solve_lyapunov(cayley_factor(A), F)
+    return solve_lyapunov(CayleyFactor(A), F)
 
 
 def scipy_solve(A, F):
@@ -84,7 +84,7 @@ class TestSolveLyapunov:
         #   A X + X A^T + F F^T = 0   ->  X = diag(w/(2ck), w/(2c))
         #   A^T X + X A + F F^T = 0   ->  X = diag(kw/(2c), w/(2c))
         w = 1.7
-        factor = cayley_factor(np.array([[0.0, 1.0], [-k, -c]]))
+        factor = CayleyFactor(np.array([[0.0, 1.0], [-k, -c]]))
         F = np.array([[0.0], [np.sqrt(w)]])
         X_primal = solve_lyapunov(factor, F)
         X_dual = solve_lyapunov(factor, F, dual=True)
@@ -107,7 +107,7 @@ class TestSolveLyapunov:
         for _ in range(25):
             dim = int(rng.integers(2, 20))
             A, B, C = random_stable_system(rng, dim)
-            factor = cayley_factor(A)
+            factor = CayleyFactor(A)
             P = solve_lyapunov(factor, B)
             Q = solve_lyapunov(factor, C.T, dual=True)
             left = np.trace(C @ P @ C.T)
@@ -123,16 +123,16 @@ class TestSolveLyapunov:
 
     def test_rejects_unstable(self):
         with pytest.raises(StabilityError, match="not Hurwitz"):
-            cayley_factor(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            solve(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
     def test_rejects_near_marginal(self):
         # Spectral abscissa -1e-10 sits inside the rejection margin.
         with pytest.raises(StabilityError):
-            cayley_factor(np.array([[-1e-10]]))
+            solve(np.array([[-1e-10]]), np.eye(1))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            cayley_factor(np.array([[np.nan]]))
+            CayleyFactor(np.array([[np.nan]]))
         with pytest.raises(ValueError, match="non-finite"):
             solve(np.array([[-1.0]]), np.array([[np.inf]]))
 
@@ -140,7 +140,11 @@ class TestSolveLyapunov:
         with pytest.raises(ValueError, match="2 rows"):
             solve(-np.eye(2), np.eye(3))
         with pytest.raises(ValueError, match="square"):
-            cayley_factor(np.zeros((2, 3)))
+            CayleyFactor(np.zeros((2, 3)))
+
+    def test_rejects_right_hand_side_without_columns(self):
+        with pytest.raises(ValueError, match="no columns"):
+            solve(-np.eye(3), np.zeros((3, 0)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
@@ -170,7 +174,7 @@ class TestSolveLyapunovPair:
         # The dual solve from the factor of A matches a primal solve from
         # the factor of A^T, and both gramians match scipy.
         A, B, C = system
-        factor = cayley_factor(A)
+        factor = CayleyFactor(A)
         X = solve_lyapunov(factor, B)
         Y = solve_lyapunov(factor, C.T, dual=True)
         assert rel_diff(Y, solve(A.T, C.T)) <= 1e-12
@@ -180,7 +184,7 @@ class TestSolveLyapunovPair:
     def test_residuals_within_documented_bound(self, system):
         A, B, C = system
         W, W_dual = B @ B.T, C.T @ C
-        factor = cayley_factor(A)
+        factor = CayleyFactor(A)
         X = solve_lyapunov(factor, B)
         Y = solve_lyapunov(factor, C.T, dual=True)
         with warnings.catch_warnings():
@@ -195,7 +199,7 @@ class TestSolveLyapunovPair:
         V, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((10, 10)))
         A = V @ np.diag([-1e-3] * 9 + [-1e5]) @ V.T
         W = np.eye(10)
-        factor = cayley_factor(A)
+        factor = CayleyFactor(A)
         X = solve_lyapunov(factor, W)
         Y = solve_lyapunov(factor, W, dual=True)
         assert residual(A, X, W) > 1e-8 * np.linalg.norm(W, "fro")
@@ -215,10 +219,10 @@ class TestSolveLyapunovPair:
         V, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
         A = V @ block @ V.T
         with pytest.raises(StabilityError, match="not Hurwitz"):
-            cayley_factor(A)
+            solve(A, np.eye(4))
 
     def test_rejects_bad_dual_input(self):
-        factor = cayley_factor(-np.eye(2))
+        factor = CayleyFactor(-np.eye(2))
         with pytest.raises(ValueError, match="2 rows"):
             solve_lyapunov(factor, np.eye(3), dual=True)
         with pytest.raises(ValueError, match="non-finite"):
@@ -245,7 +249,7 @@ class TestBlockedTriangularSolve:
     def test_random_systems_match_scipy(self, dim):
         A, B, C = random_stable_system(np.random.default_rng(dim), dim)
         W, W_dual = B @ B.T, C.T @ C
-        factor = cayley_factor(A)
+        factor = CayleyFactor(A)
         X = solve_lyapunov(factor, B)
         Y = solve_lyapunov(factor, C.T, dual=True)
         assert rel_diff(X, scipy_solve(A, B)) <= 1e-12
@@ -259,7 +263,7 @@ class TestBlockedTriangularSolve:
         T = complex_pair_schur_form(rng, dim)
         B = rng.standard_normal((dim, 3))
         W = B @ B.T
-        factor = cayley_factor(T)
+        factor = CayleyFactor(T)
         X = solve_lyapunov(factor, B)
         Y = solve_lyapunov(factor, B, dual=True)
         assert rel_diff(X, scipy_solve(T, B)) <= 1e-12
@@ -284,7 +288,7 @@ class TestKernelEdgeCases:
     """Inputs at the edges of the Cayley-power solver, against scipy."""
 
     def assert_pair_matches_scipy(self, A, F, tol):
-        factor = cayley_factor(A)
+        factor = CayleyFactor(A)
         assert rel_diff(solve_lyapunov(factor, F), scipy_solve(A, F)) <= tol
         assert rel_diff(solve_lyapunov(factor, F, dual=True), scipy_solve(A.T, F)) <= tol
 
@@ -337,7 +341,7 @@ class TestKernelEdgeCases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StabilityError, match="not Hurwitz"):
-                cayley_factor(A)
+                solve(A, np.eye(len(A)))
 
     def test_hurwitz_but_unresolved_by_the_transform(self):
         # q = sqrt(1e27) rounds the slow mode's Cayley eigenvalue to -1, so
@@ -345,7 +349,7 @@ class TestKernelEdgeCases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StabilityError, match="did not converge.*-1.000e-03"):
-                cayley_factor(np.diag([-1e-3, -1e30]))
+                solve(np.diag([-1e-3, -1e30]), np.eye(2))
 
 
 def swing_systems(twelve_net, twelve_params):
@@ -388,7 +392,7 @@ class TestFactoredKernel:
         for net, params, ref, eta in swing_systems(twelve_net, twelve_params):
             ss = vt.assemble_state_space(net, params, ref)
             B_eta = vt.assemble_state_space(net, params, ref, eta=eta).B
-            factor = cayley_factor(ss.A)
+            factor = CayleyFactor(ss.A)
             for F, dual in ((ss.B, False), (B_eta, False), (ss.C.T, True)):
                 W = F @ F.T
                 A = ss.A.T if dual else ss.A
@@ -402,7 +406,10 @@ class TestFactoredKernel:
 
     def test_squaring_stops_on_the_bound(self, twelve_net, twelve_params):
         for net, params, ref, _ in swing_systems(twelve_net, twelve_params):
-            powers = cayley_factor(vt.assemble_state_space(net, params, ref).A).powers
+            ss = vt.assemble_state_space(net, params, ref)
+            factor = CayleyFactor(ss.A)
+            solve_lyapunov(factor, ss.B)
+            powers = factor.powers
             # Each stored power's square was needed; the last one's square is
             # below the tolerance, formed or not.
             norms = [np.linalg.norm(T) for T in powers]
@@ -427,14 +434,14 @@ class TestFactoredKernel:
         q, R = lyapunov._shift_inverse(A)
         assert q == pytest.approx(np.exp(np.linalg.slogdet(A)[1] / A.shape[0]), rel=1e-13)
         assert rel_diff(R, np.linalg.inv(A - q * np.eye(A.shape[0]))) <= 1e-13
-        factor = cayley_factor(A)
+        factor = CayleyFactor(A)
         X = solve_lyapunov(factor, B)
         Y = solve_lyapunov(factor, B, dual=True)
         assert rel_diff(X, scipy_solve(A, B)) <= 1e-12
         assert rel_diff(Y, scipy_solve(A.T, B)) <= 1e-12
 
     def test_rejects_bad_factor(self):
-        factor = cayley_factor(-np.eye(3))
+        factor = CayleyFactor(-np.eye(3))
         with pytest.raises(ValueError, match="3 rows"):
             solve_lyapunov(factor, np.ones((2, 1)))
         with pytest.raises(ValueError, match="non-finite"):
@@ -442,20 +449,22 @@ class TestFactoredKernel:
 
 
 class TestLazySquaring:
-    """A factor squared inside a primal sum against one squared by ``cayley_factor(A)``."""
+    """A factor holds no power until a sum squares; a stop rule that never fires changes nothing."""
 
     @pytest.mark.parametrize("case", ["twelve-bus", "grid50"])
     def test_unfired_reject_gives_the_eager_factor(self, case, twelve_net, twelve_params):
         net, params = (twelve_net, twelve_params) if case == "twelve-bus" else grid_problem(3)
         ss = vt.assemble_state_space(net, params, 0)
         w = np.einsum("ij,ij->j", ss.C, ss.C)
-        lazy = cayley_factor(ss.A, lyapunov.RejectAbove(w, 0.0, np.inf))
+        lazy = CayleyFactor(ss.A)
         assert lazy.powers == []
-        P = solve_lyapunov(lazy, ss.B)
-        eager = cayley_factor(ss.A)
+        P = solve_lyapunov(lazy, ss.B, reject=lyapunov.RejectAbove(w, 0.0, np.inf))
+        # The reference is squared by a sum without a stop rule.
+        eager = CayleyFactor(ss.A)
+        P_eager = solve_lyapunov(eager, ss.B)
         assert len(lazy.powers) == len(eager.powers) > 1
         assert all(np.array_equal(a, b) for a, b in zip(lazy.powers, eager.powers))
-        assert np.array_equal(P, solve_lyapunov(eager, ss.B))
+        assert np.array_equal(P, P_eager)
         assert np.array_equal(solve_lyapunov(lazy, ss.C.T, dual=True),
                               solve_lyapunov(eager, ss.C.T, dual=True))
 
@@ -466,9 +475,16 @@ class TestLazySquaring:
             A = A + 3.0 * np.eye(20)
         else:
             A, C = np.diag([-1e-3, -1e30]), np.eye(2)
+        # The reference is raised by a primal sum, the other by a dual sum on a fresh factor.
         with pytest.raises(StabilityError) as eager:
-            cayley_factor(A)
-        lazy = cayley_factor(A, lyapunov.RejectAbove(np.ones(len(A)), 0.0, np.inf))
+            solve_lyapunov(CayleyFactor(A), C.T)
         with pytest.raises(StabilityError) as raised:
-            solve_lyapunov(lazy, C.T, dual=True)
+            solve_lyapunov(CayleyFactor(A), C.T, dual=True)
         assert str(raised.value) == str(eager.value)
+
+    def test_factor_of_unstable_matrix_raises_at_its_first_sum(self):
+        factor = CayleyFactor(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert factor.powers == []
+        with pytest.raises(StabilityError) as raised:
+            solve_lyapunov(factor, np.eye(2))
+        assert str(raised.value) == "system matrix is not Hurwitz (spectral abscissa 0.000e+00)"

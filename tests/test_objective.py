@@ -246,14 +246,14 @@ class TestEvalObjective:
                                                    with_reject):
         # An evaluation that is not rejected keeps its gramians and gradient,
         # not the Cayley factor and its powers.
-        cayley_factor, refs = objective_module.cayley_factor, []
+        CayleyFactor, refs = objective_module.CayleyFactor, []
 
         def recording(*args):
-            factor = cayley_factor(*args)
+            factor = CayleyFactor(*args)
             refs.append(weakref.ref(factor))
             return factor
 
-        monkeypatch.setattr(objective_module, "cayley_factor", recording)
+        monkeypatch.setattr(objective_module, "CayleyFactor", recording)
         cfg = ObjectiveConfig(beta=0.1)
         J = vt.objective_value(twelve_params, cfg, twelve_net, 0)
         reject_above = 2.0 * J if with_reject else None
@@ -326,7 +326,9 @@ class TestEarlyRejection:
         for net, params, cfg in rejection_cases(twelve_net, twelve_params):
             p = box_point(params, rng)
             ss = vt.assemble_state_space(net, p, 0, eta=cfg.eta)
-            powers = len(lyapunov.cayley_factor(ss.A).powers)
+            factor = lyapunov.CayleyFactor(ss.A)
+            lyapunov.solve_lyapunov(factor, ss.B)
+            powers = len(factor.powers)
             full = vt.eval_objective(p, cfg, net, 0)
             halfway = full.J_reg + 0.5 * full.J_h2
             assert vt.eval_objective(p, cfg, net, 0, reject_above=halfway) is None
@@ -341,7 +343,7 @@ class TestEarlyRejection:
             patch.setattr(np.linalg, "eigvals", no_eigvals)
             # The partial sums grow without bound: even the largest finite limit is passed.
             reject = lyapunov.RejectAbove(w, 0.0, np.finfo(float).max)
-            assert lyapunov.solve_lyapunov(lyapunov.cayley_factor(A, reject), B) is None
+            assert lyapunov.solve_lyapunov(lyapunov.CayleyFactor(A), B, reject=reject) is None
             # A marginal swing model: two unconnected machines leave a zero
             # eigenvalue, so q = |det A|^(1/n) is 0 and the starting sum is NaN.
             net = vt.ReducedNetwork(gen_ids=(1, 2), L=np.zeros((2, 2)))
@@ -350,20 +352,20 @@ class TestEarlyRejection:
                 m_lb=[0.0, 0.0], m_ub=[2.0, 2.0], d_lb=[0.0, 0.0], d_ub=[2.0, 2.0],
             )
             assert vt.eval_objective(params, ObjectiveConfig(), net, 0, reject_above=1e6) is None
-        # On its own, the factorization still certifies and raises.
+        # Without a stop rule, the sum still certifies and raises.
         with pytest.raises(vt.StabilityError, match="not Hurwitz"):
-            lyapunov.cayley_factor(A)
+            lyapunov.solve_lyapunov(lyapunov.CayleyFactor(A), B)
 
     def test_nan_partial_value_is_rejected(self, monkeypatch):
         A, B, C = random_stable_system(np.random.default_rng(14), 12)
         monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
         w = np.einsum("ij,ij->j", C, C)
-        assert lyapunov.solve_lyapunov(lyapunov.cayley_factor(A), B) is not None
+        assert lyapunov.solve_lyapunov(lyapunov.CayleyFactor(A), B) is not None
         w_nan = w.copy()
         w_nan[3] = np.nan
         for reject in (lyapunov.RejectAbove(w_nan, 0.0, np.inf),
                        lyapunov.RejectAbove(w, np.nan, np.inf)):
-            assert lyapunov.solve_lyapunov(lyapunov.cayley_factor(A, reject), B) is None
+            assert lyapunov.solve_lyapunov(lyapunov.CayleyFactor(A), B, reject=reject) is None
 
 
 class TestUniformRatioOracle:

@@ -232,8 +232,8 @@ class TestFinalResidualCheck:
         # almost unchanged; only the residual at the final point shows it.
         solve_lyapunov = objective_module.solve_lyapunov
 
-        def skewed(factor, F, dual=False):
-            X = solve_lyapunov(factor, F, dual=dual)
+        def skewed(factor, F, dual=False, reject=None):
+            X = solve_lyapunov(factor, F, dual=dual, reject=reject)
             return X * (1.0 + 1e-6) if dual else X
 
         monkeypatch.setattr(objective_module, "solve_lyapunov", skewed)
@@ -264,12 +264,12 @@ class TestLazyDualSolve:
 
         solve_lyapunov = objective_module.solve_lyapunov
 
-        def counting_dual(factor, F, dual=False):
+        def counting_dual(factor, F, dual=False, reject=None):
             counts["dual"] += dual
-            return solve_lyapunov(factor, F, dual=dual)
+            return solve_lyapunov(factor, F, dual=dual, reject=reject)
 
         monkeypatch.setattr(
-            objective_module, "cayley_factor", counting("factor", objective_module.cayley_factor)
+            objective_module, "CayleyFactor", counting("factor", objective_module.CayleyFactor)
         )
         monkeypatch.setattr(
             optimizer_module, "eval_objective", counting("eval", optimizer_module.eval_objective)
