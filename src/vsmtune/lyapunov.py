@@ -40,8 +40,8 @@ The squaring also certifies stability: with ``N`` the last norm measured
 or bounded, ``N >= ||T^(2^m)||_F`` for ``m`` stored powers, the root
 ``r = N^(2^-m)`` bounds the spectral radius of ``T``, and so every
 eigenvalue of ``A`` has ``Re(lambda) <= -(1 - r^2) q / 4``. Only when
-that bound does not clear ``STABILITY_MARGIN`` are the eigenvalues
-computed.
+that bound does not clear ``STABILITY_MARGIN`` does ``is_hurwitz``
+compute the eigenvalues.
 
 A ``CayleyFactor`` holds no power until a sum squares: it keeps the
 powers of ``T`` in one list, ``powers``, and ``square()`` appends the next
@@ -85,16 +85,15 @@ RESIDUAL_TOL = 1e-8
 
 def _as_square(mat: np.ndarray, name: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+        raise ValueError(f"{name} must be a non-empty square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{name} contains non-finite entries")
     return mat
 
 
-# No package code calls is_hurwitz; it stays because perfbench/traced.py wraps it by name.
 def is_hurwitz(A: np.ndarray) -> tuple[bool, float]:
-    """Check asymptotic stability of ``A``.
+    """Check asymptotic stability of ``A``, a finite non-empty square matrix (else ``ValueError``).
 
     Returns
     -------
@@ -177,8 +176,8 @@ class CayleyFactor:
     """Cayley transform of ``A``: ``S = sqrt(2q) (A - qI)^-1``, ``T`` and its stored powers.
 
     ``powers`` lists ``T, T^2, T^4, ...`` as far as ``square()`` has formed
-    them, none at first. Raises ``ValueError`` if ``A`` is not a finite
-    square matrix.
+    them, none at first. Raises ``ValueError`` if ``A`` is not a finite,
+    non-empty square matrix.
     """
 
     def __init__(self, A: np.ndarray):
@@ -201,7 +200,7 @@ class CayleyFactor:
         clear ``STABILITY_MARGIN``, or ``A - qI`` is singular, or the powers
         turn non-finite or do not fall below ``POWER_TOL`` within
         ``MAX_SQUARINGS``, the certificate reads the spectral abscissa from
-        ``np.linalg.eigvals``. A complete factor returns False at once.
+        ``is_hurwitz``. A complete factor returns False at once.
 
         Raises
         ------
@@ -228,7 +227,7 @@ class CayleyFactor:
             r = norm ** (0.5 ** stored)
             certified = converged and -(1.0 - r * r) * self._q / 4.0 < STABILITY_MARGIN
         if not certified:
-            abscissa = float(np.max(np.linalg.eigvals(self._A).real))
+            abscissa = is_hurwitz(self._A)[1]
             if abscissa >= STABILITY_MARGIN or not converged:
                 what = ("system matrix is not Hurwitz" if abscissa >= STABILITY_MARGIN
                         else "Cayley powers of the system matrix did not converge")

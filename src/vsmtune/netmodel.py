@@ -166,20 +166,16 @@ class StateSpace:
 
     State ordering is ``[theta_1 .. theta_(n-1), omega_1 .. omega_n]``
     with the reference generator's angle removed. ``B`` has one column
-    per bus (impulse channel) unless a disturbance direction ``eta`` was
-    folded in, in which case it is the single column ``B_full @ eta``.
+    per input: one impulse channel per bus, or a single folded direction.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    eta: np.ndarray | None = None
 
     def __post_init__(self):
         for f in ("A", "B", "C"):
             _frozen_array(self, f, getattr(self, f))
-        if self.eta is not None:
-            _frozen_array(self, "eta", self.eta)
 
     @property
     def n_machines(self) -> int:
@@ -387,4 +383,4 @@ def assemble_state_space(
     C = np.zeros((n, dim))
     C[:, na:] = np.diag(np.sqrt(M))
 
-    return StateSpace(A=A, B=B, C=C, eta=eta)
+    return StateSpace(A=A, B=B, C=C)

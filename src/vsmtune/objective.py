@@ -13,10 +13,11 @@ scalar parameter entering ``A``, ``B`` or ``C``,
 
     dJ/da = 2 trace(dA/da P Q) + trace(d(B B^T)/da Q) + trace(P d(C^T C)/da)
 
-Each coefficient perturbs the matrices in a rank-structured way (one
-omega-row of ``A``, one diagonal entry of ``B B^T`` and ``C^T C``), so
-all 2n partials reduce to O(n) cheap contractions of ``P Q`` instead of
-2n extra Lyapunov solves.
+Each coefficient perturbs one omega-row of ``A`` and of ``B`` and one
+diagonal entry of ``C^T C``, so all 2n partials reduce to O(n)
+contractions of ``P Q`` and ``Q B`` instead of 2n extra Lyapunov solves.
+One ``B`` term serves all channels and a known disturbance location
+alike; it needs only that the omega-rows of ``B`` scale as ``1/M``.
 
 ``eval_objective`` is the one evaluator: it factors ``A`` once as a
 ``CayleyFactor`` (the Cayley transform, with the damping block eliminated
@@ -96,20 +97,19 @@ def grad_h2(
     """Exact partials of the squared H2 norm w.r.t. each ``m_i`` and ``d_i``.
 
     ``P`` and ``Q`` are the gramians of ``ss``, from the caller's factor.
-    The omega-row of ``A`` for bus i scales with ``1/M_i``, so its
-    m-derivative is ``-A[w_i, :] / M_i``; the d-derivative touches only
-    the diagonal damping entry. ``B B^T`` and ``C^T C`` contribute the
-    diagonal terms ``-2 M_i^-3`` (or the folded eta pattern) and ``+1``.
+    The omega-rows of ``A`` and ``B`` for bus i scale with ``1/M_i``, as in
+    every realization ``assemble_state_space`` builds, so their
+    m-derivatives are ``-A[w_i, :] / M_i`` and ``-B[w_i, :] / M_i``; the
+    d-derivative touches only the diagonal damping entry. ``B`` enters as
+    ``-(2 / M_i) (Q B)[w_i, :] @ B[w_i, :]``, one term for all channels
+    and for a folded ``eta`` alike, and ``C^T C`` as ``P[w_i, w_i]``.
     """
     na = ss.n_machines - 1
     M = params.m_total
     # Column i of PQw is (P Q)[:, w_i] for the omega state w_i = na + i.
     PQw = P @ Q[:, na:]
     a_term = -2.0 / M * np.einsum("ij,ji->i", ss.A[na:, :], PQw)
-    if ss.eta is None:
-        b_term = -2.0 * np.diagonal(Q[na:, na:]) / M**3
-    else:
-        b_term = -2.0 * ss.eta / M**2 * (Q[na:, :] @ ss.B[:, 0])
+    b_term = -2.0 / M * np.einsum("ij,ij->i", Q[na:, :] @ ss.B, ss.B[na:, :])
     c_term = np.diagonal(P[na:, na:])
     grad_m = a_term + b_term + c_term
     grad_d = -2.0 / M * np.diagonal(PQw[na:, :])

@@ -9,7 +9,7 @@ import vsmtune as vt
 from vsmtune import StabilityError, lyapunov
 from vsmtune.lyapunov import CayleyFactor, check_residual, is_hurwitz, solve_lyapunov
 
-from conftest import grid_problem, random_connected_spec, random_stable_system
+from conftest import grid_problem, netgen, random_connected_spec, random_stable_system
 
 
 def residual(A, X, W):
@@ -141,6 +141,11 @@ class TestSolveLyapunov:
             solve(-np.eye(2), np.eye(3))
         with pytest.raises(ValueError, match="square"):
             CayleyFactor(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("check", [CayleyFactor, is_hurwitz], ids=["factor", "is_hurwitz"])
+    def test_rejects_empty_matrix(self, check):
+        with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+            check(np.zeros((0, 0)))
 
     def test_rejects_right_hand_side_without_columns(self):
         with pytest.raises(ValueError, match="no columns"):
@@ -284,6 +289,18 @@ def count_eigvals(monkeypatch):
     return calls
 
 
+def count_is_hurwitz(monkeypatch):
+    calls = []
+    is_hurwitz = lyapunov.is_hurwitz
+
+    def counting(A):
+        calls.append(None)
+        return is_hurwitz(A)
+
+    monkeypatch.setattr(lyapunov, "is_hurwitz", counting)
+    return calls
+
+
 class TestKernelEdgeCases:
     """Inputs at the edges of the Cayley-power solver, against scipy."""
 
@@ -315,11 +332,12 @@ class TestKernelEdgeCases:
         # abscissa (-4e-10) does not clear the margin. The eigenvalues
         # show the matrix is Hurwitz, so the gramians are returned.
         calls = count_eigvals(monkeypatch)
+        checks = count_is_hurwitz(monkeypatch)
         A = np.diag(np.r_[np.full(9, -1e-3), -1e5])
         W = np.random.default_rng(0).standard_normal((10, 10))
         F = np.linalg.cholesky(W + W.T + 20.0 * np.eye(10))
         self.assert_pair_matches_scipy(A, F, 1e-12)
-        assert len(calls) == 1
+        assert len(calls) == len(checks) == 1
 
     @pytest.mark.parametrize("scale", [1e-3, 2.0, 1e3])
     def test_invariant_to_scaling_a(self, scale):
@@ -328,7 +346,7 @@ class TestKernelEdgeCases:
         self.assert_pair_matches_scipy(scale * A, B, 1e-12)
 
     @pytest.mark.parametrize("kind", ["singular", "unstable-50", "undamped-oscillator"])
-    def test_rejects_without_warnings(self, kind):
+    def test_rejects_without_warnings(self, kind, monkeypatch):
         # A singular A - qI, powers that overflow, and powers of modulus one
         # that reach the squaring cap all end in the eigenvalue check.
         if kind == "singular":
@@ -338,18 +356,41 @@ class TestKernelEdgeCases:
             assert np.max(np.linalg.eigvals(A).real) > 1.0
         else:
             A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        checks = count_is_hurwitz(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(StabilityError, match="not Hurwitz"):
+            with pytest.raises(StabilityError, match="^system matrix is not Hurwitz \\(spectral"):
                 solve(A, np.eye(len(A)))
+        assert len(checks) == 1
 
-    def test_hurwitz_but_unresolved_by_the_transform(self):
+    def test_hurwitz_but_unresolved_by_the_transform(self, monkeypatch):
         # q = sqrt(1e27) rounds the slow mode's Cayley eigenvalue to -1, so
         # its powers never decay although A is Hurwitz.
+        checks = count_is_hurwitz(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StabilityError, match="did not converge.*-1.000e-03"):
                 solve(np.diag([-1e-3, -1e30]), np.eye(2))
+        assert len(checks) == 1
+
+
+class TestCertificateFallback:
+    """The certificate computes eigenvalues only through ``is_hurwitz``, and only when its bound fails."""
+
+    @pytest.mark.parametrize("case", ["twelve-bus", "grid100"])
+    def test_certified_midpoint_skips_is_hurwitz(self, monkeypatch, case, twelve_net, twelve_params):
+        # device_params puts the design at the box midpoint.
+        if case == "twelve-bus":
+            net, params = twelve_net, twelve_params
+        else:
+            doc = vt.parse_network(netgen.grid_document(vt, 1))
+            net = vt.reduce_network(doc.spec)
+            params = vt.device_params(doc, net.gen_ids)
+        calls = count_is_hurwitz(monkeypatch)
+        eigvals = count_eigvals(monkeypatch)
+        ev = vt.eval_objective(params, vt.ObjectiveConfig(), net, 0)
+        assert np.isfinite(ev.J_total)
+        assert not calls and not eigvals
 
 
 def swing_systems(twelve_net, twelve_params):

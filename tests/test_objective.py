@@ -96,29 +96,38 @@ class TestGradH2:
             assert grad_d[0] == pytest.approx(-1.0 / (2 * D**2), rel=1e-10)
             assert grad_m[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_matches_finite_differences_full_b(self, twelve_net, twelve_params):
-        rng = np.random.default_rng(3)
-        cfg = ObjectiveConfig(beta=0.0)
-        for _ in range(5):
-            p = interior_point(twelve_params, rng)
-            ev = vt.eval_objective(p, cfg, twelve_net, 0)
+    @staticmethod
+    def assert_matches_finite_differences(net, params, cfg, rng, points):
+        for _ in range(points):
+            p = interior_point(params, rng)
+            ev = vt.eval_objective(p, cfg, net, 0)
             grad = np.concatenate([ev.grad_m, ev.grad_d])
-            fd = finite_difference_gradient(p, cfg, twelve_net, 0)
+            fd = finite_difference_gradient(p, cfg, net, 0)
             rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-12)
             assert rel.max() < 1e-5
 
+    def test_matches_finite_differences_full_b(self, twelve_net, twelve_params):
+        cfg = ObjectiveConfig(beta=0.0)
+        self.assert_matches_finite_differences(twelve_net, twelve_params, cfg,
+                                               np.random.default_rng(3), 5)
+
     def test_matches_finite_differences_known_location(self, twelve_net, twelve_params):
-        rng = np.random.default_rng(4)
         eta = np.zeros(twelve_net.n)
         eta[twelve_net.index_of(6)] = 1.0
         cfg = ObjectiveConfig(beta=0.0, eta=eta)
-        for _ in range(5):
-            p = interior_point(twelve_params, rng)
-            ev = vt.eval_objective(p, cfg, twelve_net, 0)
-            grad = np.concatenate([ev.grad_m, ev.grad_d])
-            fd = finite_difference_gradient(p, cfg, twelve_net, 0)
-            rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-12)
-            assert rel.max() < 1e-5
+        self.assert_matches_finite_differences(twelve_net, twelve_params, cfg,
+                                               np.random.default_rng(4), 5)
+
+    def test_matches_finite_differences_spread_eta(self, twelve_net, twelve_params):
+        # A disturbance shared unevenly by every bus: each omega-row of B is nonzero.
+        rng = np.random.default_rng(10)
+        cfg = ObjectiveConfig(beta=0.0, eta=0.2 + rng.random(twelve_net.n))
+        self.assert_matches_finite_differences(twelve_net, twelve_params, cfg, rng, 3)
+
+    def test_matches_finite_differences_all_channels_grid50(self):
+        net, params = grid_problem(4)
+        self.assert_matches_finite_differences(net, params, ObjectiveConfig(beta=0.0),
+                                               np.random.default_rng(11), 1)
 
     @pytest.mark.parametrize("known_location", [False, True])
     def test_matches_per_bus_loop(self, twelve_net, twelve_params, known_location):
