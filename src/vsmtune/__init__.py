@@ -29,8 +29,6 @@ from .netmodel import (
     ReducedNetwork,
     StateSpace,
     assemble_state_space,
-    build_laplacian,
-    kron_reduce,
     reduce_network,
 )
 from .objective import (

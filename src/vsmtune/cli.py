@@ -346,6 +346,17 @@ def _write_coefficients(path: Path, ctx: _Context, m: np.ndarray, d: np.ndarray)
     _write_csv(path, header, rows)
 
 
+def _write_summary(path: Path, ctx: _Context, beta: float, result: OptResult) -> None:
+    formulation = "known_location" if ctx.eta is not None else "unknown_location"
+    _write_csv(
+        path,
+        ["beta", "ref_bus", "formulation", "iterations", "converged",
+         "termination_reason", "J_initial", "J_final"],
+        [(beta, ctx.ref_id, formulation, result.iterations, result.converged,
+          result.termination_reason.value, result.J_history[0], result.J_history[-1])],
+    )
+
+
 def _run_optimizer(ctx: _Context, beta: float) -> OptResult:
     obj = ObjectiveConfig(beta=beta, eta=ctx.eta)
     return optimize(ctx.net, ctx.params, obj, ctx.dcfg, ref_bus=ctx.ref_index)
@@ -380,21 +391,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         ["iteration", "J_total"],
         list(enumerate(result.J_history)),
     )
-    _write_csv(
-        args.out / "summary.csv",
-        ["beta", "ref_bus", "formulation", "iterations", "converged",
-         "termination_reason", "J_initial", "J_final"],
-        [(
-            args.beta,
-            ctx.ref_id,
-            "known_location" if ctx.eta is not None else "unknown_location",
-            result.iterations,
-            result.converged,
-            result.termination_reason.value,
-            result.J_history[0],
-            result.J_history[-1],
-        )],
-    )
+    _write_summary(args.out / "summary.csv", ctx, args.beta, result)
     print(
         f"optimize: J {result.J_history[0]:.6g} -> {result.J_history[-1]:.6g} "
         f"in {result.iterations} iterations ({result.termination_reason.value})"
@@ -467,6 +464,7 @@ def cmd_sweep_beta(args: argparse.Namespace) -> int:
             _write_coefficients(
                 args.out / f"coefficients_b{k}.csv", ctx, result.m_star, result.d_star
             )
+            _write_summary(args.out / f"summary_b{k}.csv", ctx, beta, result)
             rows.append((
                 beta, "ok",
                 float(result.m_star.sum()), float(result.d_star.sum()),

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .netmodel import Bus, DeviceParams, Line, NetworkSpec, validate_network
+from .netmodel import Bus, DeviceParams, Line, NetworkSpec
 
 DEFAULT_BOUNDS = {"m_lb": 0.0, "m_ub": 1.0, "d_lb": 0.0, "d_ub": 1.0}
 
@@ -38,9 +38,9 @@ class NetworkDocument:
     ref_bus: int | None = None
 
 
-def bundled_network_path(name: str = "twelve_bus") -> Path:
-    """Filesystem path of a dataset shipped with the package."""
-    path = resources.files("vsmtune").joinpath(f"data/{name}.json")
+def bundled_network_path() -> Path:
+    """Filesystem path of the twelve-bus dataset shipped with the package."""
+    path = resources.files("vsmtune").joinpath("data/twelve_bus.json")
     return Path(str(path))
 
 
@@ -120,7 +120,6 @@ def parse_network(doc: dict) -> NetworkDocument:
         )
 
     spec = NetworkSpec(buses=tuple(buses), lines=tuple(lines))
-    validate_network(spec)
 
     raw_defaults = doc.get("defaults", {})
     if not isinstance(raw_defaults, dict):

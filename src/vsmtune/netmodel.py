@@ -56,7 +56,12 @@ class Line:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Raw bus/line description prior to reduction."""
+    """Raw bus/line description prior to reduction, checked when built.
+
+    The first broken invariant raises a ValidationError, naming the bus or
+    line where there is one: unique ids, consistent coefficients, ``b > 0``
+    between two distinct known buses, a generator and a connected graph.
+    """
 
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
@@ -64,6 +69,47 @@ class NetworkSpec:
     def __post_init__(self):
         object.__setattr__(self, "buses", tuple(self.buses))
         object.__setattr__(self, "lines", tuple(self.lines))
+        ids = [b.id for b in self.buses]
+        if len(ids) != len(set(ids)):
+            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            raise ValidationError(f"duplicate bus ids: {dupes}")
+        if not self.buses:
+            raise ValidationError("network has no buses")
+
+        known = set(ids)
+        for bus in self.buses:
+            if bus.kind not in (GENERATOR, LOAD):
+                raise ValidationError(f"bus {bus.id}: unknown kind {bus.kind!r}")
+            if bus.kind == GENERATOR:
+                if bus.m_hat <= 0:
+                    raise ValidationError(f"generator bus {bus.id} must have m_hat > 0")
+                if bus.d_hat < 0:
+                    raise ValidationError(f"generator bus {bus.id} must have d_hat >= 0")
+            else:
+                if bus.m_hat != 0:
+                    raise ValidationError(f"load bus {bus.id} must have m_hat = 0")
+                if bus.d_hat != 0:
+                    raise ValidationError(
+                        f"load bus {bus.id} carries damping; static loads cannot, "
+                        "move it to a generator bus"
+                    )
+
+        for line in self.lines:
+            if line.from_bus not in known or line.to_bus not in known:
+                raise ValidationError(
+                    f"line ({line.from_bus}, {line.to_bus}) references an unknown bus"
+                )
+            if line.from_bus == line.to_bus:
+                raise ValidationError(f"line ({line.from_bus}, {line.to_bus}) is a self-loop")
+            if not line.b > 0:
+                raise ValidationError(
+                    f"line ({line.from_bus}, {line.to_bus}) must have susceptance b > 0"
+                )
+
+        if not any(b.kind == GENERATOR for b in self.buses):
+            raise ValidationError("network has no generator buses")
+        if not _is_connected(self):
+            raise ValidationError("network graph is not connected")
 
     @property
     def generator_ids(self) -> tuple[int, ...]:
@@ -182,51 +228,6 @@ class StateSpace:
         return self.C.shape[0]
 
 
-def validate_network(spec: NetworkSpec) -> None:
-    """Check NetworkSpec invariants, raising ValidationError with context."""
-    ids = [b.id for b in spec.buses]
-    if len(ids) != len(set(ids)):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise ValidationError(f"duplicate bus ids: {dupes}")
-    if not spec.buses:
-        raise ValidationError("network has no buses")
-
-    known = set(ids)
-    for bus in spec.buses:
-        if bus.kind not in (GENERATOR, LOAD):
-            raise ValidationError(f"bus {bus.id}: unknown kind {bus.kind!r}")
-        if bus.kind == GENERATOR:
-            if bus.m_hat <= 0:
-                raise ValidationError(f"generator bus {bus.id} must have m_hat > 0")
-            if bus.d_hat < 0:
-                raise ValidationError(f"generator bus {bus.id} must have d_hat >= 0")
-        else:
-            if bus.m_hat != 0:
-                raise ValidationError(f"load bus {bus.id} must have m_hat = 0")
-            if bus.d_hat != 0:
-                raise ValidationError(
-                    f"load bus {bus.id} carries damping; static loads cannot, "
-                    "move it to a generator bus"
-                )
-
-    for line in spec.lines:
-        if line.from_bus not in known or line.to_bus not in known:
-            raise ValidationError(
-                f"line ({line.from_bus}, {line.to_bus}) references an unknown bus"
-            )
-        if line.from_bus == line.to_bus:
-            raise ValidationError(f"line ({line.from_bus}, {line.to_bus}) is a self-loop")
-        if not line.b > 0:
-            raise ValidationError(
-                f"line ({line.from_bus}, {line.to_bus}) must have susceptance b > 0"
-            )
-
-    if not any(b.kind == GENERATOR for b in spec.buses):
-        raise ValidationError("network has no generator buses")
-    if not _is_connected(spec):
-        raise ValidationError("network graph is not connected")
-
-
 def _is_connected(spec: NetworkSpec) -> bool:
     pos = {b.id: k for k, b in enumerate(spec.buses)}
     adj: list[list[int]] = [[] for _ in spec.buses]
@@ -244,80 +245,37 @@ def _is_connected(spec: NetworkSpec) -> bool:
     return len(seen) == len(spec.buses)
 
 
-def build_laplacian(spec: NetworkSpec) -> np.ndarray:
-    """Assemble the full-bus susceptance Laplacian.
-
-    Bus ordering follows ``spec.buses``. Parallel lines between the same
-    pair of buses sum their susceptances. The result is symmetric with
-    zero row sums and nonpositive off-diagonal entries.
-    """
-    validate_network(spec)
-    pos = {b.id: k for k, b in enumerate(spec.buses)}
-    n = len(spec.buses)
-    L = np.zeros((n, n))
-    for line in spec.lines:
-        i, j = pos[line.from_bus], pos[line.to_bus]
-        L[i, j] -= line.b
-        L[j, i] -= line.b
-        L[i, i] += line.b
-        L[j, j] += line.b
-    return L
-
-
-def kron_reduce(
-    L_full: np.ndarray,
-    load_indices,
-    keep_ids: tuple[int, ...] | None = None,
-) -> ReducedNetwork:
-    """Eliminate passive buses via the Schur complement.
-
-    Computes ``L_red = L_gg - L_gl L_ll^{-1} L_lg`` where ``g`` indexes
-    the retained (generator) buses and ``l`` the eliminated ones.
-
-    Parameters
-    ----------
-    L_full:
-        Full bus Laplacian.
-    load_indices:
-        Positions (into ``L_full``) of the buses to eliminate.
-    keep_ids:
-        Labels for the retained buses, in retained order. Defaults to the
-        retained positions themselves.
-    """
-    L_full = np.asarray(L_full, dtype=float)
-    N = L_full.shape[0]
-    loads = sorted({int(i) for i in load_indices})
-    if any(i < 0 or i >= N for i in loads):
-        raise ValidationError("load index out of range")
-    keep = [i for i in range(N) if i not in set(loads)]
-    if not keep:
-        raise ValidationError("cannot eliminate every bus")
-    if keep_ids is None:
-        keep_ids = tuple(keep)
-    elif len(keep_ids) != len(keep):
-        raise ValidationError("keep_ids length does not match retained bus count")
-
-    if not loads:
-        return ReducedNetwork(gen_ids=keep_ids, L=L_full.copy())
-
-    L_gg = L_full[np.ix_(keep, keep)]
-    L_gl = L_full[np.ix_(keep, loads)]
-    L_ll = L_full[np.ix_(loads, loads)]
-    try:
-        X = np.linalg.solve(L_ll, L_gl.T)
-    except np.linalg.LinAlgError:
-        raise ValidationError("load subnetwork disconnected from generators") from None
-    L_red = L_gg - L_gl @ X
-    if not np.all(np.isfinite(L_red)):
-        raise ValidationError("load subnetwork disconnected from generators")
-    return ReducedNetwork(gen_ids=keep_ids, L=0.5 * (L_red + L_red.T))
-
-
 def reduce_network(spec: NetworkSpec) -> ReducedNetwork:
-    """Build the Laplacian and Kron-reduce all static load buses."""
-    L = build_laplacian(spec)
-    load_idx = [k for k, b in enumerate(spec.buses) if b.kind == LOAD]
-    return kron_reduce(L, load_idx, keep_ids=spec.generator_ids)
+    """Build the bus Laplacian (parallel lines add) and Kron-reduce every load bus.
+
+    The result is the Schur complement ``L_gg - L_gl L_ll^{-1} L_lg``, with
+    ``g`` and ``l`` the generator and load positions in ``spec.buses`` order.
+    A connected spec with a generator has a nonsingular ``L_ll``, so a
+    singular or non-finite reduction means susceptances out of float range.
+    """
+    pos = {b.id: k for k, b in enumerate(spec.buses)}
+    gen = [k for k, b in enumerate(spec.buses) if b.kind == GENERATOR]
+    load = [k for k, b in enumerate(spec.buses) if b.kind == LOAD]
+    msg = "line susceptances are out of floating-point range: the reduced Laplacian is not finite"
+    L = np.zeros((len(pos), len(pos)))
+    with np.errstate(all="ignore"):
+        for line in spec.lines:
+            i, j = pos[line.from_bus], pos[line.to_bus]
+            L[i, j] -= line.b
+            L[j, i] -= line.b
+            L[i, i] += line.b
+            L[j, j] += line.b
+        if load:
+            L_gl = L[np.ix_(gen, load)]
+            try:
+                X = np.linalg.solve(L[np.ix_(load, load)], L_gl.T)
+            except np.linalg.LinAlgError:
+                raise ValidationError(msg) from None
+            L = L[np.ix_(gen, gen)] - L_gl @ X
+            L = 0.5 * (L + L.T)
+    if not np.all(np.isfinite(L)):
+        raise ValidationError(msg)
+    return ReducedNetwork(gen_ids=spec.generator_ids, L=L)
 
 
 def assemble_state_space(

@@ -144,7 +144,7 @@ def optimize(
                 )
             except (StabilityError, ParameterError):
                 ev_trial = None
-            if ev_trial is not None and ev_trial.J_total <= threshold:
+            if ev_trial is not None:
                 accepted = (trial, ev_trial)
                 break
             rejected = trial

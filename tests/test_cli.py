@@ -125,6 +125,21 @@ class TestReduce:
     def test_missing_file_exit_2(self, tmp_path):
         assert run("reduce", "--network", tmp_path / "ghost.json", "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("b", [1e308, 5e-324])
+    def test_out_of_range_susceptances_exit_2(self, b, tmp_path, capsys, recwarn):
+        # The network stays connected; only the arithmetic of the reduction fails.
+        doc = json.loads(bundled_network_path().read_text())
+        for line in doc["lines"]:
+            line["b"] = b
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(doc))
+        assert run("reduce", "--network", path, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "line susceptances are out of floating-point range" in err
+        assert "disconnected" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "out").exists()
+
 
 class TestOptimize:
     def test_writes_outputs(self, tmp_path):
@@ -644,6 +659,23 @@ class TestSweepBeta:
         assert read_csv(tmp_path / "coefficients_b0.csv") == read_csv(
             opt_dir / "coefficients.csv"
         )
+
+    def test_writes_optimize_summary_per_beta(self, tmp_path):
+        assert run(
+            "sweep-beta", "--betas=0,0.01", "--known-location", "--grad-tol", 1e-3,
+            "--disturb-node", 6, "--horizon", 5.0, "--out", tmp_path,
+        ) == 0
+        opt_dir = tmp_path / "opt"
+        assert run(
+            "optimize", "--beta", 0.01, "--disturb-node", 6,
+            "--grad-tol", 1e-3, "--out", opt_dir,
+        ) == 0
+        with open(opt_dir / "summary.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        first = read_csv(tmp_path / "summary_b0.csv")
+        assert list(first[0]) == header
+        assert [(r["beta"], r["formulation"]) for r in first] == [("0", "known_location")]
+        assert read_csv(tmp_path / "summary_b1.csv") == read_csv(opt_dir / "summary.csv")
 
     def test_logs_each_runs_simulation_warnings(self, tmp_path, caplog):
         assert run(

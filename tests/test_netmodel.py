@@ -26,13 +26,24 @@ def spec_chain():
     )
 
 
+def chain_with_load(load_id):
+    return NetworkSpec(
+        buses=tuple(
+            Bus(i, "load") if i == load_id else Bus(i, "generator", 1.0, 1.0) for i in (1, 2, 3)
+        ),
+        lines=(Line(1, 2, 1.0), Line(2, 3, 1.0)),
+    )
+
+
 class TestBuildLaplacian:
+    """The bus Laplacian, read from ``reduce_network`` on all-generator specs, and spec checks."""
+
     def test_two_bus(self):
-        L = vt.build_laplacian(spec_2bus())
+        L = vt.reduce_network(spec_2bus()).L
         assert np.array_equal(L, [[5.0, -5.0], [-5.0, 5.0]])
 
     def test_chain(self):
-        L = vt.build_laplacian(spec_chain())
+        L = vt.reduce_network(spec_chain()).L
         assert np.array_equal(L, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
     def test_triangle(self):
@@ -40,7 +51,7 @@ class TestBuildLaplacian:
             buses=tuple(Bus(i, "generator", 1.0, 0.5) for i in (1, 2, 3)),
             lines=(Line(1, 2, 2.0), Line(1, 3, 3.0), Line(2, 3, 4.0)),
         )
-        L = vt.build_laplacian(spec)
+        L = vt.reduce_network(spec).L
         assert np.array_equal(L, [[5, -2, -3], [-2, 6, -4], [-3, -4, 7]])
 
     def test_parallel_lines_sum(self):
@@ -48,89 +59,94 @@ class TestBuildLaplacian:
             buses=(Bus(1, "generator", 1.0, 1.0), Bus(2, "generator", 1.0, 1.0)),
             lines=(Line(1, 2, 2.0), Line(2, 1, 3.0)),
         )
-        L = vt.build_laplacian(spec)
+        L = vt.reduce_network(spec).L
         assert np.array_equal(L, [[5.0, -5.0], [-5.0, 5.0]])
 
     def test_duplicate_ids_rejected(self):
-        spec = NetworkSpec(
-            buses=(Bus(1, "generator", 1.0, 1.0), Bus(1, "generator", 1.0, 1.0)),
-            lines=(Line(1, 1, 1.0),),
-        )
         with pytest.raises(vt.ValidationError, match="duplicate bus ids"):
-            vt.build_laplacian(spec)
+            NetworkSpec(
+                buses=(Bus(1, "generator", 1.0, 1.0), Bus(1, "generator", 1.0, 1.0)),
+                lines=(Line(1, 1, 1.0),),
+            )
 
     def test_unknown_endpoint_names_line(self):
-        spec = NetworkSpec(
-            buses=(Bus(1, "generator", 1.0, 1.0), Bus(2, "generator", 1.0, 1.0)),
-            lines=(Line(1, 2, 1.0), Line(2, 9, 1.0)),
-        )
         with pytest.raises(vt.ValidationError, match=r"line \(2, 9\)"):
-            vt.build_laplacian(spec)
+            NetworkSpec(
+                buses=(Bus(1, "generator", 1.0, 1.0), Bus(2, "generator", 1.0, 1.0)),
+                lines=(Line(1, 2, 1.0), Line(2, 9, 1.0)),
+            )
 
     def test_disconnected_rejected(self):
-        spec = NetworkSpec(
-            buses=tuple(Bus(i, "generator", 1.0, 1.0) for i in (1, 2, 3)),
-            lines=(Line(1, 2, 1.0),),
-        )
         with pytest.raises(vt.ValidationError, match="not connected"):
-            vt.build_laplacian(spec)
+            NetworkSpec(
+                buses=tuple(Bus(i, "generator", 1.0, 1.0) for i in (1, 2, 3)),
+                lines=(Line(1, 2, 1.0),),
+            )
 
     def test_load_with_inertia_rejected(self):
-        spec = NetworkSpec(
-            buses=(Bus(1, "generator", 1.0, 1.0), Bus(2, "load", m_hat=0.5)),
-            lines=(Line(1, 2, 1.0),),
-        )
         with pytest.raises(vt.ValidationError, match="m_hat = 0"):
-            vt.build_laplacian(spec)
+            NetworkSpec(
+                buses=(Bus(1, "generator", 1.0, 1.0), Bus(2, "load", m_hat=0.5)),
+                lines=(Line(1, 2, 1.0),),
+            )
 
     def test_nonpositive_susceptance_rejected(self):
-        spec = NetworkSpec(
-            buses=(Bus(1, "generator", 1.0, 1.0), Bus(2, "generator", 1.0, 1.0)),
-            lines=(Line(1, 2, 0.0),),
-        )
         with pytest.raises(vt.ValidationError, match="b > 0"):
-            vt.build_laplacian(spec)
+            NetworkSpec(
+                buses=(Bus(1, "generator", 1.0, 1.0), Bus(2, "generator", 1.0, 1.0)),
+                lines=(Line(1, 2, 0.0),),
+            )
 
     def test_doubling_susceptances_scales_linearly(self):
-        L1 = vt.build_laplacian(spec_chain())
+        L1 = vt.reduce_network(spec_chain()).L
         doubled = NetworkSpec(
             buses=spec_chain().buses,
             lines=tuple(Line(l.from_bus, l.to_bus, 2 * l.b) for l in spec_chain().lines),
         )
-        L2 = vt.build_laplacian(doubled)
+        L2 = vt.reduce_network(doubled).L
         assert np.array_equal(L2, 2.0 * L1)
         assert np.abs(L2.sum(axis=1)).max() == 0.0
         assert np.min(np.linalg.eigvalsh(L2)) >= -1e-12
 
 
 class TestKronReduce:
+    """Load elimination by ``reduce_network``."""
+
     def test_eliminate_nothing_is_identity(self):
-        L = vt.build_laplacian(spec_chain())
-        red = vt.kron_reduce(L, [])
-        assert np.array_equal(red.L, L)
-        assert red.gen_ids == (0, 1, 2)
+        spec = spec_chain()
+        red = vt.reduce_network(spec)
+        assert np.array_equal(red.L, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
+        assert red.gen_ids == spec.generator_ids == (1, 2, 3)
 
     def test_eliminate_middle_bus(self):
-        L = vt.build_laplacian(spec_chain())
-        red = vt.kron_reduce(L, [1], keep_ids=(1, 3))
+        red = vt.reduce_network(chain_with_load(2))
         # Hand Schur complement: series combination of two unit lines.
         assert np.allclose(red.L, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-14)
         assert red.gen_ids == (1, 3)
 
     def test_eliminate_leaf_bus(self):
-        L = vt.build_laplacian(spec_chain())
-        red = vt.kron_reduce(L, [2])
+        red = vt.reduce_network(chain_with_load(3))
         assert np.allclose(red.L, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-14)
+        assert red.gen_ids == (1, 2)
 
     def test_singular_load_block_rejected(self):
-        # Isolated third bus: eliminating it leaves a singular load block.
-        L = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(vt.ValidationError, match="disconnected from generators"):
-            vt.kron_reduce(L, [2])
+        # An isolated load bus would leave a singular load block; the spec refuses it.
+        with pytest.raises(vt.ValidationError, match="not connected"):
+            NetworkSpec(
+                buses=(Bus(1, "generator", 1.0, 1.0), Bus(2, "generator", 1.0, 1.0), Bus(3, "load")),
+                lines=(Line(1, 2, 1.0),),
+            )
 
     def test_cannot_eliminate_everything(self):
-        with pytest.raises(vt.ValidationError):
-            vt.kron_reduce(np.zeros((2, 2)), [0, 1])
+        with pytest.raises(vt.ValidationError, match="no generator buses"):
+            NetworkSpec(buses=(Bus(1, "load"), Bus(2, "load")), lines=(Line(1, 2, 1.0),))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_parallel_lines_rejected(self):
+        # No load to eliminate: the Laplacian itself leaves floating-point range.
+        spec = NetworkSpec(buses=spec_2bus().buses, lines=(Line(1, 2, 1e308), Line(2, 1, 1e308)))
+        with pytest.raises(vt.ValidationError, match="out of floating-point range"):
+            vt.reduce_network(spec)
 
     @settings(max_examples=25, deadline=None)
     @given(
