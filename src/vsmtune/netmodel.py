@@ -18,6 +18,7 @@ every total damping is positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,8 +60,9 @@ class NetworkSpec:
     """Raw bus/line description prior to reduction, checked when built.
 
     The first broken invariant raises a ValidationError, naming the bus or
-    line where there is one: unique ids, consistent coefficients, ``b > 0``
-    between two distinct known buses, a generator and a connected graph.
+    line where there is one: unique ids, consistent and finite coefficients,
+    finite ``b > 0`` between two distinct known buses, a generator and a
+    connected graph.
     """
 
     buses: tuple[Bus, ...]
@@ -81,10 +83,15 @@ class NetworkSpec:
             if bus.kind not in (GENERATOR, LOAD):
                 raise ValidationError(f"bus {bus.id}: unknown kind {bus.kind!r}")
             if bus.kind == GENERATOR:
-                if bus.m_hat <= 0:
-                    raise ValidationError(f"generator bus {bus.id} must have m_hat > 0")
-                if bus.d_hat < 0:
-                    raise ValidationError(f"generator bus {bus.id} must have d_hat >= 0")
+                # Written so that NaN fails both checks.
+                if not 0 < bus.m_hat < math.inf:
+                    raise ValidationError(
+                        f"generator bus {bus.id} must have finite m_hat > 0, got {bus.m_hat}"
+                    )
+                if not 0 <= bus.d_hat < math.inf:
+                    raise ValidationError(
+                        f"generator bus {bus.id} must have finite d_hat >= 0, got {bus.d_hat}"
+                    )
             else:
                 if bus.m_hat != 0:
                     raise ValidationError(f"load bus {bus.id} must have m_hat = 0")
@@ -101,9 +108,10 @@ class NetworkSpec:
                 )
             if line.from_bus == line.to_bus:
                 raise ValidationError(f"line ({line.from_bus}, {line.to_bus}) is a self-loop")
-            if not line.b > 0:
+            if not 0 < line.b < math.inf:
                 raise ValidationError(
-                    f"line ({line.from_bus}, {line.to_bus}) must have susceptance b > 0"
+                    f"line ({line.from_bus}, {line.to_bus}) must have finite susceptance "
+                    f"b > 0, got {line.b}"
                 )
 
         if not any(b.kind == GENERATOR for b in self.buses):

@@ -14,8 +14,11 @@ side ``B``, which give J. The trial passes its Armijo threshold to
 ``eval_objective`` as ``reject_above``, the stop rule of its primal
 sum, so a trial whose partial Smith sum exceeds it stops before its
 remaining squarings and certificate, rejected like a non-Hurwitz one.
-Only an accepted trial solves the dual gramian from the same factor and
-``C^T``, and its gradient serves the next iteration. At the final point
+Only an accepted trial needs the dual gramian, from the same factor and
+``C^T``, and its gradient serves the next iteration. On a model large
+enough for ``eval_objective`` to sum the dual on its worker thread, every
+trial starts that sum beside the primal one and a rejected trial stops
+it; otherwise only an accepted trial solves it. At the final point
 both gramians' Lyapunov residuals are checked, and a ``RuntimeWarning``
 reports one that misses its bound.
 Convergence is judged on the unit-step projected-gradient (KKT) residual

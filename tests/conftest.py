@@ -33,6 +33,17 @@ def grid_problem(seed, n_buses=50):
     return net, params.with_design(*params.box_midpoint())
 
 
+@pytest.fixture
+def dual_worker(monkeypatch):
+    """``dual_worker(on)`` sets whether ``eval_objective`` sums the dual gramian on its worker."""
+    import vsmtune.objective as objective_module
+
+    def use(on: bool) -> None:
+        monkeypatch.setattr(objective_module, "_overlap", lambda states: on)
+
+    return use
+
+
 @pytest.fixture(scope="session")
 def twelve_doc():
     return vt.load_network(vt.bundled_network_path())

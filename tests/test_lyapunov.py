@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -529,3 +531,72 @@ class TestLazySquaring:
         with pytest.raises(StabilityError) as raised:
             solve_lyapunov(factor, np.eye(2))
         assert str(raised.value) == "system matrix is not Hurwitz (spectral abscissa 0.000e+00)"
+
+
+class TestTwoThreads:
+    """Two threads taking powers from one factor, as ``eval_objective``'s worker and caller do."""
+
+    def test_each_power_formed_once(self, monkeypatch):
+        net, params = grid_problem(4, 60)
+        ss = vt.assemble_state_space(net, params, 0)
+        eager = CayleyFactor(ss.A)
+        P, Q = solve_lyapunov(eager, ss.B), solve_lyapunov(eager, ss.C.T, dual=True)
+        square = CayleyFactor.square
+        stored = []
+
+        def counting(factor):
+            formed = square(factor)
+            stored.append(formed)
+            return formed
+
+        monkeypatch.setattr(CayleyFactor, "square", counting)
+        # Four sums, more threads than this machine's two cores, switching often.
+        sums = [(False, ss.B, P), (True, ss.C.T, Q)] * 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                factor = CayleyFactor(ss.A, shared=True)
+                stored.clear()
+                barrier = threading.Barrier(len(sums))
+                results = [None] * len(sums)
+
+                def run(k, dual, F):
+                    barrier.wait(10)
+                    results[k] = solve_lyapunov(factor, F, dual=dual)
+
+                threads = [threading.Thread(target=run, args=(k, dual, F))
+                           for k, (dual, F, _) in enumerate(sums)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+                    assert not thread.is_alive()
+                assert sum(stored) == len(factor.powers) == len(eager.powers)
+                assert all(np.array_equal(a, b) for a, b in zip(factor.powers, eager.powers))
+                assert all(np.array_equal(X, ref) for X, (_, _, ref) in zip(results, sums))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_stop_ends_a_waiting_sum(self):
+        net, params = grid_problem(4, 60)
+        ss = vt.assemble_state_space(net, params, 0)
+        factor = CayleyFactor(ss.A, shared=True)
+        factor._squaring = True  # as if another thread were forming the first power
+        outcome = []
+
+        def run():
+            try:
+                solve_lyapunov(factor, ss.C.T, dual=True)
+            except lyapunov.FactorStopped as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(0.05)
+        assert thread.is_alive()
+        factor.stop()
+        thread.join(10)
+        assert not thread.is_alive() and len(outcome) == 1
+        with pytest.raises(lyapunov.FactorStopped):
+            factor.power(0)

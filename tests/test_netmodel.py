@@ -97,6 +97,26 @@ class TestBuildLaplacian:
                 lines=(Line(1, 2, 0.0),),
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["m_hat", "d_hat"])
+    def test_non_finite_generator_coefficient_names_bus(self, field, value):
+        coeffs = {"m_hat": 1.0, "d_hat": 1.0, field: value}
+        with pytest.raises(vt.ValidationError,
+                           match=rf"generator bus 2 must have finite {field} .*, got {value}"):
+            NetworkSpec(
+                buses=(Bus(1, "generator", 1.0, 1.0), Bus(2, "generator", **coeffs)),
+                lines=(Line(1, 2, 1.0),),
+            )
+
+    @pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf])
+    def test_non_finite_susceptance_names_line(self, b):
+        with pytest.raises(vt.ValidationError,
+                           match=rf"line \(1, 2\) must have finite susceptance b > 0, got {b}"):
+            NetworkSpec(
+                buses=(Bus(1, "generator", 1.0, 1.0), Bus(2, "generator", 1.0, 1.0)),
+                lines=(Line(1, 2, b),),
+            )
+
     def test_doubling_susceptances_scales_linearly(self):
         L1 = vt.reduce_network(spec_chain()).L
         doubled = NetworkSpec(

@@ -1,4 +1,9 @@
 import gc
+import multiprocessing
+import os
+import threading
+import time
+import warnings
 import weakref
 
 import numpy as np
@@ -260,8 +265,8 @@ class TestEvalObjective:
         # not the Cayley factor and its powers.
         CayleyFactor, refs = objective_module.CayleyFactor, []
 
-        def recording(*args):
-            factor = CayleyFactor(*args)
+        def recording(*args, **kwargs):
+            factor = CayleyFactor(*args, **kwargs)
             refs.append(weakref.ref(factor))
             return factor
 
@@ -414,3 +419,189 @@ class TestUniformRatioOracle:
         slope = float(ev.grad_m @ dm + ev.grad_d @ (lam * dm))
         slope_closed = -float(np.sum(lam * dm / (2.0 * D**2)))
         assert abs(slope - slope_closed) <= 1e-12 * abs(slope_closed)
+
+
+def objective_value(params, net):
+    """All-channel ``J_total`` at reference bus 0, for a child process."""
+    return vt.eval_objective(params, ObjectiveConfig(), net, 0).J_total
+
+
+def unstable(net):
+    """``net`` with every susceptance negated, so that its realizations are not Hurwitz."""
+    return vt.ReducedNetwork(gen_ids=net.gen_ids, L=-net.L)
+
+
+class TestDualWorker:
+    """The dual gramian summed on the worker thread: same bytes, same errors, nothing left running.
+
+    ``grid60`` has 119 states, above ``OVERLAP_MIN_STATES``; twelve-bus has 17.
+    """
+
+    @pytest.fixture(params=["twelve-bus", "grid60"])
+    def case(self, request, twelve_net, twelve_params):
+        if request.param == "twelve-bus":
+            return twelve_net, twelve_params
+        return grid_problem(4, 60)
+
+    def evaluations(self, net, params, rng):
+        """Accepted, late-rejected, early-rejected and unbounded evaluations at box points."""
+        for cfg in (ObjectiveConfig(), ObjectiveConfig(beta=0.1, eta=np.eye(params.n)[1])):
+            for _ in range(2):
+                p = box_point(params, rng)
+                J = vt.eval_objective(p, cfg, net, 0).J_total
+                for t in (None, J * (1 + 1e-9), J * (1 - 1e-9), 0.5 * J):
+                    yield p, cfg, t
+
+    def test_same_bytes_with_and_without_worker(self, case, dual_worker):
+        net, params = case
+        runs = {}
+        for on in (False, True):
+            dual_worker(on)
+            runs[on] = [vt.eval_objective(p, cfg, net, 0, reject_above=t)
+                        for p, cfg, t in self.evaluations(net, params, np.random.default_rng(5))]
+        assert [ev is None for ev in runs[True]] == [ev is None for ev in runs[False]]
+        assert sum(ev is None for ev in runs[True]) == 8
+        for ev, ref in zip(runs[True], runs[False]):
+            if ref is not None:
+                for name in ("J_h2", "J_reg", "J_total", "P", "Q", "grad_m", "grad_d"):
+                    assert np.array_equal(getattr(ev, name), getattr(ref, name)), name
+
+    def test_stability_error_from_worker_certificate(self, monkeypatch, dual_worker):
+        net, params = grid_problem(4, 60)
+        net = unstable(net)
+        dual_worker(False)
+        with pytest.raises(vt.StabilityError) as serial:
+            vt.eval_objective(params, ObjectiveConfig(), net, 0)
+        # The primal sum waits until the worker's dual sum has ended, so the
+        # worker forms every power and runs the certificate.
+        dual_worker(True)
+        dual_done = threading.Event()
+        solve = objective_module.solve_lyapunov
+        certified_in = []
+
+        def ordered(factor, F, dual=False, reject=None):
+            if dual:
+                try:
+                    return solve(factor, F, dual=True, reject=reject)
+                finally:
+                    dual_done.set()
+            assert dual_done.wait(10)
+            return solve(factor, F, reject=reject)
+
+        def recording(A):
+            certified_in.append(threading.current_thread())
+            return is_hurwitz(A)
+
+        is_hurwitz = lyapunov.is_hurwitz
+        monkeypatch.setattr(objective_module, "solve_lyapunov", ordered)
+        monkeypatch.setattr(lyapunov, "is_hurwitz", recording)
+        with pytest.raises(vt.StabilityError) as raised:
+            vt.eval_objective(params, ObjectiveConfig(), net, 0)
+        assert str(raised.value) == str(serial.value)
+        assert "not Hurwitz" in str(raised.value)
+        assert len(certified_in) == 1 and certified_in[0] is not threading.main_thread()
+
+    @pytest.mark.parametrize("outcome", ["accepted", "late-rejected", "early-rejected", "raised"])
+    def test_no_worker_task_outlives_the_call(self, monkeypatch, dual_worker, outcome):
+        net, params = grid_problem(4, 60)
+        cfg = ObjectiveConfig()
+        J = vt.eval_objective(params, cfg, net, 0).J_total
+        dual_worker(True)
+        solve = objective_module.solve_lyapunov
+        running, ended = [], []
+
+        def tracking(factor, F, dual=False, reject=None):
+            if not dual:
+                return solve(factor, F, reject=reject)
+            running.append(1)
+            try:
+                # A slow start: an early rejection arrives while the worker sleeps.
+                time.sleep(0.05)
+                return solve(factor, F, dual=True, reject=reject)
+            except BaseException as exc:
+                ended.append(type(exc))
+                raise
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(objective_module, "solve_lyapunov", tracking)
+        t = {"accepted": J * 1.01, "late-rejected": J * (1 - 1e-9),
+             "early-rejected": 0.0, "raised": None}[outcome]
+        if outcome == "raised":
+            with pytest.raises(vt.StabilityError):
+                vt.eval_objective(params, cfg, unstable(net), 0, reject_above=t)
+        else:
+            ev = vt.eval_objective(params, cfg, net, 0, reject_above=t)
+            assert (ev is None) == (outcome != "accepted")
+        assert running == []
+        if outcome == "early-rejected":
+            # Stopped before its sum began, not run to its end.
+            assert ended == [lyapunov.FactorStopped]
+
+    @pytest.mark.parametrize("kind", ["unstable", "singular-shift"])
+    def test_no_runtime_warning_from_worker(self, monkeypatch, dual_worker, kind):
+        # Overflowing powers (unstable) and a NaN Cayley transform (q = 0) run
+        # on the worker, whose numpy error state is its own.
+        if kind == "unstable":
+            net, params = grid_problem(4, 60)
+            net = unstable(net)
+        else:
+            net = vt.ReducedNetwork(gen_ids=(1, 2), L=np.zeros((2, 2)))
+            params = vt.DeviceParams(
+                m_hat=[1.0, 1.0], d_hat=[1.0, 1.0], m=[0.0, 0.0], d=[0.0, 0.0],
+                m_lb=[0.0, 0.0], m_ub=[2.0, 2.0], d_lb=[0.0, 0.0], d_ub=[2.0, 2.0],
+            )
+        dual_worker(True)
+        solve = objective_module.solve_lyapunov
+        worker_errors = []
+
+        def recording(factor, F, dual=False, reject=None):
+            try:
+                return solve(factor, F, dual=dual, reject=reject)
+            except BaseException as exc:
+                if dual:
+                    worker_errors.append(type(exc))
+                raise
+
+        monkeypatch.setattr(objective_module, "solve_lyapunov", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                for t in (None, 1e6):
+                    try:
+                        vt.eval_objective(params, ObjectiveConfig(), net, 0, reject_above=t)
+                    except vt.StabilityError:
+                        pass
+        assert set(worker_errors) <= {vt.StabilityError, lyapunov.FactorStopped}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_forked_child_starts_its_own_worker(self, dual_worker):
+        # The parent's worker thread does not survive a fork; a child that
+        # reused its executor would wait for the dual gramian for ever.
+        net, params = grid_problem(4, 60)
+        dual_worker(True)
+        ev = vt.eval_objective(params, ObjectiveConfig(), net, 0)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            J = pool.apply_async(objective_value, (params, net)).get(timeout=30)
+        assert J == ev.J_total
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+    def test_overlap_needs_the_size_and_a_cpu_that_blas_leaves_free(self, monkeypatch):
+        least = objective_module.OVERLAP_MIN_STATES
+        for var in objective_module._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        cases = [
+            ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, least, True),
+            ({0, 1}, {"OMP_NUM_THREADS": "1"}, 10 * least, True),
+            ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, least - 1, False),
+            ({3}, {"OPENBLAS_NUM_THREADS": "1"}, least, False),
+            ({0, 1}, {}, least, False),
+            ({0, 1}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, least, False),
+            ({0, 1}, {"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, least, True),
+        ]
+        for cpus, env, states, expected in cases:
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+                for var, value in env.items():
+                    patch.setenv(var, value)
+                assert objective_module._overlap(states) is expected, (cpus, env, states)

@@ -242,11 +242,10 @@ class TestFinalResidualCheck:
 
 
 class TestLazyDualSolve:
-    def test_dual_solved_only_for_gradients_read(self, monkeypatch):
-        # A 30-generator grid whose line search rejects trials: each
-        # evaluation factors once, but only the start point and accepted
-        # trials solve the dual equation.
-        spec = random_connected_spec(np.random.default_rng(0), 30)
+    """Dual solves either side of ``OVERLAP_MIN_STATES``, on grids whose line search rejects trials."""
+
+    def run(self, monkeypatch, n_buses):
+        spec = random_connected_spec(np.random.default_rng(0), n_buses)
         net = vt.reduce_network(spec)
         n = net.n
         params = vt.DeviceParams(
@@ -278,8 +277,42 @@ class TestLazyDualSolve:
         res = optimize(net, params, ObjectiveConfig(), DescentConfig())
         assert res.converged
         assert counts["eval"] > res.iterations + 1
+        # Each evaluation factors once.
         assert counts["factor"] == counts["eval"]
+        return res, counts, 2 * n - 1
+
+    def test_dual_solved_only_for_gradients_read(self, monkeypatch):
+        # 59 states: only the start point and accepted trials solve the dual equation.
+        res, counts, states = self.run(monkeypatch, 30)
+        assert states < objective_module.OVERLAP_MIN_STATES
         assert counts["dual"] == res.iterations + 1
+
+    def test_dual_started_by_every_evaluation_with_the_worker(self, monkeypatch):
+        # 119 states: with a second CPU, every evaluation starts one dual sum
+        # on the worker, and a rejected trial stops it; without, as above.
+        res, counts, states = self.run(monkeypatch, 60)
+        assert states >= objective_module.OVERLAP_MIN_STATES
+        worker = objective_module._overlap(states)
+        assert counts["dual"] == (counts["eval"] if worker else res.iterations + 1)
+
+
+class TestDualWorker:
+    @pytest.mark.parametrize("case", ["twelve-bus", "grid60"])
+    def test_same_path_with_and_without_worker(self, dual_worker, twelve_net, twelve_params, case):
+        if case == "twelve-bus":
+            net, params = twelve_net, twelve_params
+            cfg, dcfg = ObjectiveConfig(beta=0.1, eta=np.eye(twelve_net.n)[0]), DescentConfig()
+        else:
+            net, params = grid_problem(4, 60)
+            cfg, dcfg = ObjectiveConfig(), DescentConfig(max_iter=30)
+        runs = []
+        for on in (False, True):
+            dual_worker(on)
+            runs.append(optimize(net, params, cfg, dcfg))
+        serial, overlapped = runs
+        assert serial.iterations > 5
+        for name in ("m_star", "d_star", "J_history", "iterations", "termination_reason"):
+            assert np.array_equal(getattr(overlapped, name), getattr(serial, name)), name
 
 
 class TestEarlyRejectionPath:
