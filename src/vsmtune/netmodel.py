@@ -28,6 +28,13 @@ from .errors import ParameterError, ValidationError
 GENERATOR = "generator"
 LOAD = "load"
 
+# Asymmetry and row sums of a ReducedNetwork's L, relative to the row's
+# absolute sum, that count as zero. reduce_network's row sums are at most
+# 3.1e-16 of it on twelve-bus and the netgen seeds 1-10, 1.0e-15 on other
+# seeded grids with up to 380 of 400 buses loads, and 1.3e-8 on a chain of
+# 1000 load buses whose susceptances spread over six decades.
+LAPLACIAN_TOL = 1e-6
+
 
 def _frozen_array(obj: object, name: str, value, dtype=float) -> np.ndarray:
     arr = np.array(value, dtype=dtype)
@@ -130,7 +137,12 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class ReducedNetwork:
-    """Generator-only susceptance Laplacian after Kron reduction."""
+    """Generator-only susceptance Laplacian after Kron reduction.
+
+    ``L`` must be finite and symmetric with zero row sums, each to within
+    ``LAPLACIAN_TOL`` times its row's absolute sum; a ``ValidationError``
+    names the first fault. The signs of its entries are not checked.
+    """
 
     gen_ids: tuple[int, ...]
     L: np.ndarray
@@ -142,6 +154,25 @@ class ReducedNetwork:
         if L.shape != (n, n):
             raise ValidationError(
                 f"Laplacian shape {L.shape} does not match {n} generator ids"
+            )
+        if not np.all(np.isfinite(L)):
+            raise ValidationError("Laplacian has non-finite entries")
+        # A row near the float limit may overflow its sums: its tolerance is then inf.
+        with np.errstate(over="ignore"):
+            tol = LAPLACIAN_TOL * np.abs(L).sum(axis=1)
+            asymmetric = np.argwhere(np.abs(L - L.T) > tol[:, None])
+            row_sums = L.sum(axis=1)
+        if asymmetric.size:
+            i, j = asymmetric[0]
+            raise ValidationError(
+                f"Laplacian is not symmetric: entry ({self.gen_ids[i]}, {self.gen_ids[j]}) is "
+                f"{L[i, j]:.6g} but ({self.gen_ids[j]}, {self.gen_ids[i]}) is {L[j, i]:.6g}"
+            )
+        unbalanced = np.flatnonzero(np.abs(row_sums) > tol)
+        if unbalanced.size:
+            i = unbalanced[0]
+            raise ValidationError(
+                f"Laplacian row of bus {self.gen_ids[i]} sums to {row_sums[i]:.6g}, not zero"
             )
 
     @property
@@ -283,6 +314,9 @@ def reduce_network(spec: NetworkSpec) -> ReducedNetwork:
             L = 0.5 * (L + L.T)
     if not np.all(np.isfinite(L)):
         raise ValidationError(msg)
+    if len(gen) == 1:
+        # A lone generator's Laplacian is zero; its Schur complement holds only rounding.
+        L = np.zeros((1, 1))
     return ReducedNetwork(gen_ids=spec.generator_ids, L=L)
 
 

@@ -28,9 +28,9 @@ so that LAPACK sees only the (n-1)-square angle block), and
 with ``w = diag(C^T C)``. ``Q`` is summed from the same factor and
 ``C^T``, and the gradient formed, in the same call, so the factor is
 freed when it returns. Where the dual sum runs depends on the model and
-the process: with at least ``OVERLAP_MIN_STATES`` states, a second CPU in
-the process's affinity mask and BLAS pinned to one thread (``_overlap``),
-a worker thread (one per process) starts it beside the primal sum, so
+the process: with at least ``OVERLAP_MIN_STATES`` states and a second CPU
+that BLAS leaves free (``pool.second_cpu_free``), a task on the process's
+one thread pool (``pool.executor``) starts it beside the primal sum, so
 that it forms the first Cayley powers ahead of that sum and then sums
 ``Q`` while ``P`` is still being summed; otherwise the caller sums ``Q``
 once ``P`` is accepted. Both give the same bytes.
@@ -38,63 +38,38 @@ A caller that passes ``reject_above`` pays less when J is above it: it is
 the primal sum's stop rule, and the partial value
 ``J_reg + w @ diag(X_k)``, which only rises towards J, ends the
 evaluation (None) as soon as it exceeds the bound. A rejected or failed
-evaluation then skips the dual solve, or stops the worker at its next
-step and waits for it, so no worker task outlives the call.
+evaluation then skips the dual solve, or stops the pool task at its next
+step and waits for it, so no task outlives the call.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pool
 from .errors import ConfigurationError
 from .lyapunov import CayleyFactor, RejectAbove, check_residual, solve_lyapunov
 from .netmodel import DeviceParams, ReducedNetwork, StateSpace, assemble_state_space
 
 
 # Smallest state count at which eval_objective sums the dual gramian on the
-# worker thread. Below it the hand-off costs more than the overlap saves:
+# pool. Below it the hand-off costs more than the overlap saves:
 # optimize (max_iter 30) on seeded grids, OpenBLAS on one thread, 2 CPUs,
-# ran 8% slower with the worker at 79-87 states, 1-3% faster at 91-95 (in
-# 11 of 15 runs), 4-10% faster at 99-111 and 30% faster at 199.
+# ran 8% slower with the pool at 79-87 states, 1-3% faster at 91-95 (in
+# 11 of 15 runs), 4-10% faster at 99-111 and 30% faster at 199. With
+# OpenBLAS on two threads the pool made grid100 optimize 59% slower.
 OVERLAP_MIN_STATES = 100
-
-# The variables that set the BLAS thread count, in the order OpenBLAS and MKL
-# read them. A multithreaded BLAS already uses the second CPU: with OpenBLAS
-# on two threads, the worker made grid100 optimize 59% slower.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS",
-                     "OMP_NUM_THREADS")
-
-_pool = None  # (pid, executor) of the worker thread, started on first use
 
 
 def _overlap(states: int) -> bool:
-    """Whether an evaluation with ``states`` states sums its dual gramian on the worker thread.
+    """Whether an evaluation with ``states`` states sums its dual gramian on the pool.
 
-    It needs ``OVERLAP_MIN_STATES`` states and a second CPU that BLAS leaves
-    free: two or more CPUs in the process's affinity mask, and BLAS pinned
-    to one thread by the first of its thread variables that is set.
+    It needs ``OVERLAP_MIN_STATES`` states and a second CPU that BLAS
+    leaves free (``pool.second_cpu_free``).
     """
-    if states < OVERLAP_MIN_STATES:
-        return False
-    blas_threads = next((os.environ[v] for v in _BLAS_THREAD_VARS if os.environ.get(v)), "")
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return blas_threads.strip() == "1" and cpus > 1
-
-
-def _worker():
-    """The process's one worker thread, a fresh one after a fork."""
-    global _pool
-    if _pool is None or _pool[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="vsmtune-dual"))
-    return _pool[1]
+    return states >= OVERLAP_MIN_STATES and pool.second_cpu_free()
 
 
 @dataclass(frozen=True)
@@ -182,7 +157,7 @@ def eval_objective(
     NaN. The primal sum then stops at the first Smith step whose partial
     value ``J_reg + w @ diag(X_k)`` exceeds it, which is sound because
     that value only rises towards ``J_total``; the caller forms no further
-    power, and the dual sum is skipped or, on the worker thread, stopped.
+    power, and the dual sum is skipped or, on the pool, stopped.
 
     Raises ``StabilityError`` when the realization is not Hurwitz and the
     evaluation is not rejected first.
@@ -194,7 +169,7 @@ def eval_objective(
     reject = None if reject_above is None else RejectAbove(w, J_reg, reject_above)
     overlap = _overlap(len(ss.A))
     factor = CayleyFactor(ss.A, shared=overlap)
-    dual = _worker().submit(solve_lyapunov, factor, ss.C.T, True) if overlap else None
+    dual = pool.executor().submit(solve_lyapunov, factor, ss.C.T, True) if overlap else None
     Q = None
     try:
         P = solve_lyapunov(factor, ss.B, reject=reject)
@@ -207,7 +182,7 @@ def eval_objective(
         Q = solve_lyapunov(factor, ss.C.T, dual=True) if dual is None else dual.result()
     finally:
         if Q is None and dual is not None:
-            # Rejected or failed: the worker stops at its next step, and its outcome is dropped.
+            # Rejected or failed: the pool task stops at its next step, and its outcome is dropped.
             factor.stop()
             dual.exception()
     grad_m, grad_d = grad_h2(ss, params, P=P, Q=Q)

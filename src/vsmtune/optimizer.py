@@ -16,7 +16,7 @@ sum, so a trial whose partial Smith sum exceeds it stops before its
 remaining squarings and certificate, rejected like a non-Hurwitz one.
 Only an accepted trial needs the dual gramian, from the same factor and
 ``C^T``, and its gradient serves the next iteration. On a model large
-enough for ``eval_objective`` to sum the dual on its worker thread, every
+enough for ``eval_objective`` to sum the dual on the thread pool, every
 trial starts that sum beside the primal one and a rejected trial stops
 it; otherwise only an accepted trial solves it. At the final point
 both gramians' Lyapunov residuals are checked, and a ``RuntimeWarning``

@@ -18,14 +18,22 @@ and ``Phi^f`` is squared, so a horizon of K steps costs about log2(K)
 matrix products instead of K matrix-vector products. ROCOF is read from
 the state equation itself rather than from finite differences of the
 samples, so the reported peak at t = 0 is exact.
+
+``compare_designs`` runs each design's simulation as a task on the
+process's thread pool when a second CPU is free of BLAS
+(``pool.second_cpu_free``), so that the caller can format one design's
+trajectory while the next is simulated; otherwise it simulates them in
+turn, in the caller. Both give the same bytes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool
 from .errors import StabilityError, ValidationError
 from .netmodel import DeviceParams, ReducedNetwork, StateSpace, assemble_state_space
 
@@ -225,17 +233,36 @@ def compare_designs(
     horizon: float = 25.0,
     dt: float = 1e-3,
     ref_bus: int = 0,
-) -> list[tuple[str, SimResult]]:
+) -> Iterator[tuple[str, SimResult]]:
     """Simulate several coefficient designs under one disturbance.
 
-    Every variant sees the identical disturbance and grid; results are
-    returned sorted by variant label so output ordering is deterministic.
+    Every variant sees the identical disturbance and grid. The labels are
+    checked and every simulation is started when this is called; the
+    returned iterator yields ``(label, SimResult)`` pairs sorted by label,
+    so output ordering is deterministic. With a second CPU free of BLAS
+    the simulations run on the process's pool and each pair is yielded
+    once its simulation has returned; a simulation's exception is raised
+    there, after the other simulations have been cancelled or have ended.
+    Otherwise every simulation has run, in the caller, before this returns.
     """
     labels = [label for label, _ in variants]
     if len(labels) != len(set(labels)):
         raise ValidationError("variant labels must be unique")
-    results = []
-    for label, params in sorted(variants, key=lambda lv: lv[0]):
+    variants = sorted(variants, key=lambda lv: lv[0])
+
+    def run(params: DeviceParams) -> SimResult:
         ss = assemble_state_space(net, params, ref_bus)
-        results.append((label, simulate(ss, dist, horizon=horizon, dt=dt)))
-    return results
+        return simulate(ss, dist, horizon=horizon, dt=dt)
+
+    if not pool.second_cpu_free():
+        return iter([(label, run(params)) for label, params in variants])
+    return _in_order([(label, pool.executor().submit(run, params)) for label, params in variants])
+
+
+def _in_order(tasks: list) -> Iterator[tuple[str, SimResult]]:
+    """Each ``(label, task)``'s label and result in turn; no task outlives the iteration."""
+    try:
+        for label, task in tasks:
+            yield label, task.result()
+    finally:
+        pool.drain(task for _, task in tasks)

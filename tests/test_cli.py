@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import vsmtune as vt
 import vsmtune.cli as cli
 import vsmtune.optimizer as optimizer_module
+import vsmtune.pool as pool_module
 import vsmtune.simulator as simulator_module
 from vsmtune import StabilityError, bundled_network_path
 
@@ -425,7 +428,7 @@ class TestTrajectoryWriter:
         )
         gen_ids = (1, 4, 12)
         self.per_value_reference(tmp_path / "reference.csv", gen_ids, result)
-        cli._write_trajectory(tmp_path / "trajectory.csv", gen_ids, result)
+        cli._write_trajectories(gen_ids, [(tmp_path / "trajectory.csv", result)])
         written = (tmp_path / "trajectory.csv").read_bytes()
         assert written == (tmp_path / "reference.csv").read_bytes()
         lines = written.split(b"\n")
@@ -438,11 +441,13 @@ class TestTrajectoryWriter:
         ]
 
 
-    @pytest.mark.parametrize("n_rows", [
-        1, cli.TRAJECTORY_BLOCK - 1, cli.TRAJECTORY_BLOCK, cli.TRAJECTORY_BLOCK + 1,
-        2 * cli.TRAJECTORY_BLOCK + 1,
+    @pytest.mark.parametrize("n_rows, threaded", [
+        pytest.param(n_rows, threaded, id=f"threaded-{n_rows}" if threaded else str(n_rows))
+        for threaded, size in ((False, cli.TRAJECTORY_BLOCK), (True, cli.POOL_BLOCK))
+        for n_rows in (1, size - 1, size, size + 1, 2 * size + 1)
     ])
-    def test_block_boundaries_match_per_value_writer(self, n_rows, tmp_path):
+    def test_block_boundaries_match_per_value_writer(self, n_rows, threaded, tmp_path, monkeypatch):
+        monkeypatch.setattr(pool_module, "second_cpu_free", lambda: threaded)
         rng = np.random.default_rng(n_rows)
         omega = rng.standard_normal((2, n_rows)) * 1e-3
         omega[1, ::7] = -0.0
@@ -451,7 +456,7 @@ class TestTrajectoryWriter:
             settle_time=np.zeros(2), omega_ss=np.zeros(2),
         )
         self.per_value_reference(tmp_path / "reference.csv", (2, 9), result)
-        cli._write_trajectory(tmp_path / "trajectory.csv", (2, 9), result)
+        cli._write_trajectories((2, 9), [(tmp_path / "trajectory.csv", result)])
         written = (tmp_path / "trajectory.csv").read_bytes()
         assert written == (tmp_path / "reference.csv").read_bytes()
         assert written.count(b"\r\n") == n_rows + 1
@@ -604,6 +609,86 @@ class TestCompare:
             f"{label}: some buses did not settle within the horizon"
             for label in ("d_max_m_max", "d_max_m_min", "d_opt_m_opt")
         ]
+
+
+    @pytest.mark.parametrize("command", [
+        pytest.param(["compare", "--grad-tol", 1e-2], id="compare-inline-step"),
+        pytest.param(["compare", "--grad-tol", 1e-2, "--disturb-kind", "impulse"],
+                     id="compare-inline-impulse"),
+        pytest.param(["compare", "--coeffs"], id="compare-coeffs-step"),
+        pytest.param(["compare", "--disturb-kind", "impulse", "--coeffs"],
+                     id="compare-coeffs-impulse"),
+        pytest.param(["simulate"], id="simulate-step"),
+        pytest.param(["simulate", "--disturb-kind", "impulse", "--coeffs"], id="simulate-impulse"),
+    ])
+    def test_same_bytes_on_the_pool_and_in_the_caller(self, command, tmp_path, monkeypatch,
+                                                      capsys):
+        if command[-1] == "--coeffs":
+            assert run("optimize", "--grad-tol", 1e-2, "--out", tmp_path / "opt") == 0
+            command = command + [tmp_path / "opt" / "coefficients.csv"]
+        outputs = {}
+        for threaded in (False, True):
+            monkeypatch.setattr(pool_module, "second_cpu_free", lambda: threaded)
+            out = tmp_path / str(threaded)
+            capsys.readouterr()
+            # 5001 rows: several serial blocks, and a full and a partial pool block.
+            assert run(*command, "--disturb-node", 1, "--horizon", 5.0, "--out", out) == 0
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            outputs[threaded] = (files, capsys.readouterr())
+        assert outputs[True] == outputs[False]
+        names = set(outputs[True][0])
+        assert len(names) == (4 if command[0] == "compare" else 2)
+        assert all(outputs[True][0][name].count(b"\r\n") == 5002 for name in names
+                   if name.startswith("trajectory"))
+
+    @pytest.mark.parametrize("threaded", [False, True], ids=["caller", "pool"])
+    def test_failed_simulation_writes_nothing_and_leaves_no_task(self, threaded, tmp_path,
+                                                                 monkeypatch, capsys,
+                                                                 twelve_params):
+        assert run("optimize", "--grad-tol", 1e-2, "--out", tmp_path / "opt") == 0
+        monkeypatch.setattr(pool_module, "second_cpu_free", lambda: threaded)
+        lock, calls, running, late = threading.Lock(), [], [], []
+        returned = threading.Event()
+        # The second variant in label order, d_max_m_min, has the least inertia.
+        least_inertia = twelve_params.m_hat + twelve_params.m_lb
+
+        def tracked(fn, name):
+            def call(*args, **kwargs):
+                with lock:
+                    calls.append(name)
+                    running.append(name)
+                if returned.is_set():
+                    late.append(name)
+                try:
+                    # Slow enough that a task not waited for would still run at return.
+                    time.sleep(0.02)
+                    if name == "simulate" and np.allclose(
+                            np.einsum("ij,ij->j", args[0].C, args[0].C)[-len(least_inertia):],
+                            least_inertia):
+                        raise StabilityError("synthetic instability")
+                    return fn(*args, **kwargs)
+                finally:
+                    with lock:
+                        running.remove(name)
+            return call
+
+        monkeypatch.setattr(simulator_module, "simulate",
+                            tracked(simulator_module.simulate, "simulate"))
+        monkeypatch.setattr(cli, "_csv_rows", tracked(cli._csv_rows, "format"))
+        capsys.readouterr()
+        code = run("compare", "--coeffs", tmp_path / "opt" / "coefficients.csv",
+                   "--disturb-node", 1, "--horizon", 10.0, "--out", tmp_path / "cmp")
+        returned.set()
+        assert running == []
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: synthetic instability\n")
+        assert not list(tmp_path.glob("cmp/trajectory_*"))
+        assert calls.count("simulate") == (3 if threaded else 2)
+        if threaded:
+            # The first result was being formatted when the second simulation raised.
+            assert "format" in calls
+        time.sleep(0.1)
+        assert running == [] and late == []
 
 
 class TestSweepBeta:

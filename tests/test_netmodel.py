@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import vsmtune as vt
 from vsmtune import Bus, Line, NetworkSpec
 
-from conftest import random_connected_spec, single_machine
+from conftest import netgen, random_connected_spec, single_machine
 
 
 def spec_2bus(b=5.0):
@@ -188,6 +188,41 @@ class TestKronReduce:
         assert eigs[0] >= -1e-9
         if red.n > 1:
             assert eigs[1] > 1e-9
+
+
+class TestReducedNetwork:
+    """What ``ReducedNetwork`` accepts as a reduced Laplacian."""
+
+    @pytest.mark.parametrize("L, message", [
+        ([[1.0, -1.0], [-1.0, np.nan]], "non-finite"),
+        ([[1.0, -1.0], [-1.0, np.inf]], "non-finite"),
+        # Neither symmetric nor zero-sum: eval_objective used to return J for it.
+        ([[1.0, 0.3], [-2.0, 1.0]], r"not symmetric: entry \(1, 2\) is 0.3 but \(2, 1\) is -2"),
+        ([[1.0, -1.0, 0.0], [-2.0, 2.0, 0.0], [0.0, 0.0, 0.0]], "not symmetric"),
+        ([[2.0, -1.0], [-1.0, 1.0]], "row of bus 1 sums to 1, not zero"),
+        ([[1.0, -1.0], [-1.0, 1.0 + 1e-5]], "row of bus 2 sums to"),
+    ])
+    def test_rejects_what_is_no_laplacian(self, L, message):
+        with pytest.raises(vt.ValidationError, match=message):
+            vt.ReducedNetwork(gen_ids=(1, 2, 3)[:len(L)], L=np.array(L))
+
+    def test_accepts_rounding_and_negated_laplacians(self, twelve_net):
+        L = twelve_net.L
+        vt.ReducedNetwork(gen_ids=twelve_net.gen_ids, L=-L)
+        # Row sums and asymmetry well inside LAPLACIAN_TOL of the row's absolute sum.
+        bumped = L.copy()
+        bumped[0, 0] += 1e-3 * vt.netmodel.LAPLACIAN_TOL * np.abs(L[0]).sum()
+        bumped[0, 1] += 1e-3 * vt.netmodel.LAPLACIAN_TOL * np.abs(L[0]).sum()
+        vt.ReducedNetwork(gen_ids=twelve_net.gen_ids, L=bumped)
+        vt.ReducedNetwork(gen_ids=(1,), L=np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_reduce_network_output_is_accepted_far_inside_the_tolerance(self, seed):
+        spec = netgen.random_connected_spec(
+            vt, np.random.default_rng(seed), netgen.N_GENERATORS + netgen.N_LOADS, netgen.N_LOADS
+        )
+        L = vt.reduce_network(spec).L
+        assert np.abs(L.sum(axis=1)).max() <= 1e-6 * vt.netmodel.LAPLACIAN_TOL * np.abs(L).sum(1).min()
 
 
 class TestAssembleStateSpace:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import vsmtune as vt
 import vsmtune.objective as objective_module
+import vsmtune.pool as pool_module
 from vsmtune import ObjectiveConfig, StateSpace, lyapunov
 
 from conftest import (
@@ -588,7 +589,7 @@ class TestDualWorker:
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
     def test_overlap_needs_the_size_and_a_cpu_that_blas_leaves_free(self, monkeypatch):
         least = objective_module.OVERLAP_MIN_STATES
-        for var in objective_module._BLAS_THREAD_VARS:
+        for var in pool_module._BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         cases = [
             ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, least, True),
