@@ -569,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--magnitude", type=float, default=0.1,
                            help="disturbance size in p.u. power")
             p.add_argument("--horizon", type=float, default=25.0, help="simulation length (s)")
-            p.add_argument("--dt", type=float, default=1e-3, help="integration step (s)")
+            p.add_argument("--dt", type=float, default=1e-3, help="sample interval (s)")
 
     p_reduce = sub.add_parser("reduce", help="Kron-reduce load buses, emit the Laplacian")
     add_common(p_reduce)

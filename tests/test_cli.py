@@ -379,6 +379,19 @@ class TestSimulate:
         assert "samples" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sweep-beta"])
+    def test_overflowing_magnitude_exit_2(self, command, tmp_path, capsys):
+        # The response to a 1.7e308 p.u. step leaves the float range: no metrics,
+        # trajectory or sweep file is written.
+        extra = ["--betas=0", "--max-iter", 3] if command == "sweep-beta" else []
+        assert run(command, *extra, "--disturb-node", 1, "--magnitude", "1.7e308",
+                   "--out", tmp_path) == 2
+        assert "error: disturbance magnitude 1.7e+308 drives the response" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_numpy_only_commands_leave_scipy_linalg_unloaded(self, tmp_path, twelve_params):
         # Every command runs on numpy alone, the gramian solves included.
         coeffs = tmp_path / "coefficients.csv"

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import vsmtune as vt
+import vsmtune.lyapunov as lyapunov
 from vsmtune import Disturbance, compare_designs, simulate
 
 from conftest import gramians, output_energy, random_connected_spec, single_machine
@@ -116,27 +118,27 @@ class TestSimulateNetwork:
 
 
 def per_step_reference(ss, dist, horizon, dt):
-    """Reference RK4: the affine one-step map ``x+ = Phi x + Gamma B u`` stepped sample by sample.
+    """Reference zero-order hold: the exact affine map ``x+ = Phi x + g`` stepped sample by sample.
 
-    Returns ``(omega, rocof_max, nadir, omega_ss, t)``; ``simulate``'s power
-    doubling about the equilibrium must reproduce this recursion to rounding.
+    ``Phi = exp(A dt)`` and ``g = int_0^dt exp(A s) ds B u`` come from
+    scipy's ``expm`` of the augmented matrix ``[[A, B u], [0, 0]] dt``,
+    independently of the package's series. Returns ``(omega, rocof_max,
+    nadir, omega_ss, t)``; ``simulate``'s power doubling about the
+    equilibrium must reproduce this recursion to rounding.
     """
     A, B = ss.A, ss.B
     dim, na = A.shape[0], ss.n_machines - 1
     col = 0 if B.shape[1] == 1 else dist.node
-    eye = np.eye(dim)
-    hA = dt * A
-    hA2 = hA @ hA
-    hA3 = hA2 @ hA
-    phi = eye + hA + hA2 / 2.0 + hA3 / 6.0 + hA3 @ hA / 24.0
-    gamma = dt * (eye + hA / 2.0 + hA2 / 6.0 + hA3 / 24.0)
     if dist.kind == "step":
         bu = B[:, col] * dist.magnitude
         x = np.zeros(dim)
     else:
         bu = np.zeros(dim)
         x = B[:, col] * dist.magnitude
-    gc = gamma @ bu
+    aug = np.zeros((dim + 1, dim + 1))
+    aug[:dim, :dim], aug[:dim, dim] = A, bu
+    E = expm(aug * dt)
+    phi, gc = E[:dim, :dim], E[:dim, dim]
     steps = int(round(horizon / dt))
     xs = np.empty((steps + 1, dim))
     xs[0] = x
@@ -162,7 +164,7 @@ def _grid50_ss():
 
 
 class TestDoublingMatchesPerStepRecursion:
-    """Power doubling reproduces the per-step RK4 recursion to rounding."""
+    """Power doubling reproduces the per-step zero-order-hold recursion to rounding."""
 
     @pytest.mark.parametrize("case", [
         ("twelve", "step", 0.1, 25.0, 1e-3),
@@ -236,14 +238,59 @@ class TestSimulateValidation:
 
     def test_rejects_unstable_system(self):
         ss = vt.StateSpace(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], C=[[0.0, 1.0]])
-        with pytest.raises(vt.StabilityError):
+        with pytest.raises(vt.StabilityError) as raised:
             simulate(ss, Disturbance("step", 0, 0.1), horizon=1.0, dt=1e-3)
+        assert str(raised.value) == "system matrix is not Hurwitz (spectral abscissa 0.000e+00)"
 
-    def test_coarse_dt_warns(self):
-        net, params = single_machine(m_hat=0.1, d_hat=1.0)  # time constant 0.1 s
+    def test_eigenvalues_only_through_is_hurwitz(self, monkeypatch, twelve_ss):
+        # Stable or not, every eigenvalue computation happens inside lyapunov.is_hurwitz.
+        inside, eig_calls = [], []
+        is_hurwitz, eigvals = lyapunov.is_hurwitz, np.linalg.eigvals
+
+        def hurwitz(A):
+            inside.append(None)
+            try:
+                return is_hurwitz(A)
+            finally:
+                inside.pop()
+
+        def spy_eigvals(A):
+            eig_calls.append(bool(inside))
+            return eigvals(A)
+
+        monkeypatch.setattr(lyapunov, "is_hurwitz", hurwitz)
+        monkeypatch.setattr(np.linalg, "eigvals", spy_eigvals)
+        simulate(twelve_ss, Disturbance("step", 0, 0.1), horizon=1.0, dt=1e-3)
+        assert eig_calls == [True]
+        ss = vt.StateSpace(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], C=[[0.0, 1.0]])
+        with pytest.raises(vt.StabilityError, match="not Hurwitz"):
+            simulate(ss, Disturbance("step", 0, 0.1), horizon=1.0, dt=1e-3)
+        assert eig_calls == [True, True]
+
+    @pytest.mark.filterwarnings("error")
+    def test_coarse_dt_is_exact(self):
+        # Time constant 0.1 s sampled every 0.2 s: the samples stay exact and nothing warns.
+        net, params = single_machine(m_hat=0.1, d_hat=1.0)
         ss = vt.assemble_state_space(net, params, ref_bus=0)
         res = simulate(ss, Disturbance("step", 0, 0.1), horizon=10.0, dt=0.2)
-        assert any("fastest time constant" in w for w in res.warnings)
+        assert np.abs(res.omega[0] - 0.1 * (1 - np.exp(-10.0 * res.t))).max() <= 1e-15
+        assert res.warnings == ()
+
+    def test_coarse_dt_twelve_bus_stays_bounded(self, twelve_net, twelve_ss):
+        # A 3 s step over a 60 s horizon: every nadir stays near the 0.0114 p.u. offset.
+        res = simulate(twelve_ss, Disturbance("step", twelve_net.index_of(1), 0.1),
+                       horizon=60.0, dt=3.0)
+        assert np.all(res.nadir < 1.0)
+        assert np.all(res.nadir >= np.abs(res.omega_ss))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["step", "impulse"])
+    def test_overflowing_magnitude_rejected(self, kind):
+        # B e_node * magnitude = 1e309 overflows: no warning, and an error naming the magnitude.
+        net, params = single_machine(m_hat=0.1, d_hat=1.0)
+        ss = vt.assemble_state_space(net, params, ref_bus=0)
+        with pytest.raises(vt.ValidationError, match=r"magnitude 1e\+308 drives the response"):
+            simulate(ss, Disturbance(kind, 0, 1e308), horizon=1.0, dt=1e-3)
 
     def test_unsettled_horizon_warns(self):
         net, params = single_machine()
@@ -251,6 +298,32 @@ class TestSimulateValidation:
         res = simulate(ss, Disturbance("step", 0, 0.1), horizon=0.5, dt=1e-3)
         assert np.isinf(res.settle_time[0])
         assert any("did not settle" in w for w in res.warnings)
+
+
+class TestPropagator:
+    """The scaled and squared Taylor series against scipy's ``expm``."""
+
+    @pytest.mark.parametrize("dt", [1e-3, 1e-2, 0.2, 1.0])
+    def test_matches_expm(self, twelve_ss, dt):
+        A = twelve_ss.A
+        ref = expm(A * dt)
+        got = vt.simulator._propagator(A, dt)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        if dt == 1.0:
+            # ||A dt||_1 > 2 needs at least 3 squarings to reach ||X||_1 <= 1/2.
+            assert np.abs(A * dt).sum(axis=0).max() > 2.0
+
+    @pytest.mark.parametrize("scale, dt", [(0.5, 1.0), (1.0, 1.0), (1.0, 0.75), (3.0, 0.25)])
+    def test_scalar_at_power_of_two_norms(self, scale, dt):
+        # ||A dt||_1 of 1/2, 1 and 3/4 sit on or between the squaring thresholds.
+        A = np.array([[-scale]])
+        assert vt.simulator._propagator(A, dt)[0, 0] == pytest.approx(np.exp(-scale * dt),
+                                                                      rel=1e-15)
+
+    def test_huge_dt_does_not_overflow(self, twelve_ss):
+        phi = vt.simulator._propagator(twelve_ss.A, 1e300)
+        assert np.all(np.isfinite(phi))
+        assert np.abs(phi).max() < 1e-12
 
 
 class TestCompareDesigns:
