@@ -48,16 +48,13 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_INVALID = 2
 
-# Trajectory rows formatted per call of ``_csv_rows``: in the caller, and as
-# one task on the pool. Measured on compare --coeffs, twelve-bus, 2 CPUs,
-# OpenBLAS on one thread. Serially, 4096-row blocks took 124 ms to simulate
-# and write against 104 ms at 1024. On the pool, small blocks serialize the
-# threads on bytes.translate, which holds the interpreter lock (82 ms at
-# 1024 rows), and blocks above about 3000 rows page-fault their temporaries
-# afresh (29k minor faults at 4096 rows, 21k at 3072): the whole command
-# took a median 0.173-0.176 s at 3072 rows, 0.174-0.178 s at 2048-2560 and
-# 0.182-0.184 s at 4096.
-TRAJECTORY_BLOCK = 1024
+# Trajectory rows formatted per call of ``_csv_rows``, one task on the pool.
+# Measured on compare --coeffs, twelve-bus, 2 CPUs, OpenBLAS on one thread:
+# small blocks serialize the threads on bytes.translate, which holds the
+# interpreter lock (82 ms at 1024 rows), and blocks above about 3000 rows
+# page-fault their temporaries afresh (29k minor faults at 4096 rows, 21k
+# at 3072): the whole command took a median 0.173-0.176 s at 3072 rows,
+# 0.174-0.178 s at 2048-2560 and 0.182-0.184 s at 4096.
 POOL_BLOCK = 3072
 
 # _csv_rows makes digits exactly only when the long double is x87 extended
@@ -228,6 +225,18 @@ class _Context:
                 self.eta = np.eye(self.net.n)[node]
             self.params = _seed_point(args.seed_point, self.params)
             self.dcfg = DescentConfig(max_iter=args.max_iter, grad_tol=args.grad_tol)
+            # optimize's tolerance takes the norm of the box midpoint, and beta * (m @ m)
+            # and its gradient 2 * beta * m peak on the box at m_ub: each must be finite.
+            m_ub, flag = self.params.m_ub, "--betas" if hasattr(args, "betas") else "--beta"
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.isfinite(np.linalg.norm(np.concatenate(self.params.box_midpoint()))):
+                    raise ConfigurationError(
+                        "--bounds: the norm of the coefficient box's midpoint overflows")
+                for beta in getattr(args, "betas", [args.beta]):
+                    reg = (beta * (m_ub @ m_ub), 2 * beta * m_ub.max())
+                    if beta and not np.isfinite(reg).all():
+                        raise ConfigurationError(f"{flag} {beta!r}: beta * (m_ub @ m_ub) or "
+                                                 "2 * beta * max(m_ub) overflows")
 
 
 def _metrics_rows(gen_ids, result: SimResult, prefix: tuple = ()):
@@ -327,17 +336,11 @@ def _csv_rows(block: np.ndarray) -> bytes:
     return text.tobytes().translate(None, b"\0")
 
 
-def _row_blocks(result: SimResult, size: int):
-    """``t`` and every bus's ``omega`` as one row per sample, ``size`` rows at a time."""
+def _row_blocks(result: SimResult):
+    """``t`` and every bus's ``omega`` as one row per sample, ``POOL_BLOCK`` rows at a time."""
     rows = np.column_stack([result.t, result.omega.T])
-    for start in range(0, len(rows), size):
-        yield rows[start:start + size]
-
-
-def _taken(blocks: deque):
-    """The text of each queued block in turn; a block is dropped once its text is taken."""
-    while blocks:
-        yield blocks.popleft().result()
+    for start in range(0, len(rows), POOL_BLOCK):
+        yield rows[start:start + POOL_BLOCK]
 
 
 def _write_trajectories(gen_ids, files) -> None:
@@ -351,36 +354,27 @@ def _write_trajectories(gen_ids, files) -> None:
     ``%`` for the few values it cannot make exactly.
 
     No file is opened before ``files`` is exhausted, so a simulation that
-    raises while it is iterated leaves no trajectory file. With a second
-    CPU free of BLAS (``pool.second_cpu_free``), each result's
+    raises while it is iterated leaves no trajectory file. Each result's
     ``POOL_BLOCK``-row blocks are queued on the process's pool as soon as
     it is taken from ``files``, and the files are then written in order,
     block by block, as their text is ready; up to every file's text may be
-    held at once. Otherwise each file's ``TRAJECTORY_BLOCK``-row blocks
-    are formatted here as they are written, one block of text at a time.
-    No queued block outlives the call.
+    held at once. No queued block outlives the call.
     """
     header = ",".join(["t"] + [f"omega_{gid}" for gid in gen_ids]).encode() + b"\r\n"
-    threaded = pool.second_cpu_free()
-    queued, submitted = [], []
+    queued = []
     try:
         for path, result in files:
-            if threaded:
-                blocks = deque(pool.executor().submit(_csv_rows, block)
-                               for block in _row_blocks(result, POOL_BLOCK))
-                submitted.append(blocks)
-                texts = _taken(blocks)
-            else:
-                texts = map(_csv_rows, _row_blocks(result, TRAJECTORY_BLOCK))
-            queued.append((path, texts))
-        for path, texts in queued:
+            queued.append((path, deque(pool.executor().submit(_csv_rows, block)
+                                       for block in _row_blocks(result))))
+        for path, blocks in queued:
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(path, "wb") as fh:
                 fh.write(header)
-                fh.writelines(texts)
+                # Each block leaves the deque, and its text is dropped, once written.
+                fh.writelines(blocks.popleft().result() for _ in range(len(blocks)))
             log.info("wrote %s", path)
     finally:
-        pool.drain(task for blocks in submitted for task in blocks)
+        pool.drain(task for _, blocks in queued for task in blocks)
 
 
 def _write_coefficients(path: Path, ctx: _Context, m: np.ndarray, d: np.ndarray) -> None:

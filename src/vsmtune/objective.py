@@ -163,7 +163,8 @@ def eval_objective(
     evaluation is not rejected first.
     """
     ss = assemble_state_space(net, params, ref_bus, eta=cfg.eta)
-    J_reg = float(cfg.beta * np.dot(params.m, params.m))
+    # A zero weight adds exactly 0, even where m @ m overflows.
+    J_reg = float(cfg.beta * np.dot(params.m, params.m)) if cfg.beta else 0.0
     # C = [0, M^(1/2)], so C^T C is diagonal and trace(C P C^T) = w @ diag(P).
     w = np.einsum("ij,ij->j", ss.C, ss.C)
     reject = None if reject_above is None else RejectAbove(w, J_reg, reject_above)

@@ -5,14 +5,14 @@ Python threads that call single-threaded BLAS run in parallel: two of
 them on 199-square GEMMs gave 1.7-2.3 times one thread's throughput on
 2 CPUs. That pays only when a second CPU is free of BLAS
 (``second_cpu_free``). A multithreaded BLAS already uses it, and on one
-CPU the threads only interleave, so every caller keeps a serial path
-for those cases, and both paths give the same bytes.
+CPU the threads only interleave, so the gramian and simulation callers
+keep a serial path for those cases, and both paths give the same bytes.
 
-The pool is shared by ``objective.eval_objective``, which sums the dual
-gramian on it beside the primal sum, and by the ``compare`` and
-``simulate`` commands, which simulate designs and format trajectory rows
-on it. ``concurrent.futures`` is imported when the pool is first used,
-so a process that never uses it does not pay for the import.
+The pool is shared by ``objective.eval_objective`` (the dual gramian beside
+the primal sum), ``simulator.compare_designs`` (one task per design) and
+``cli._write_trajectories`` (every trajectory block, in every configuration).
+``concurrent.futures`` is imported when the pool is first used, so a
+process that never uses it does not pay for the import.
 """
 
 from __future__ import annotations

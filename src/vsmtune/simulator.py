@@ -24,9 +24,9 @@ band crossing interpolated linearly between two samples.
 
 ``compare_designs`` runs each design's simulation as a task on the
 process's thread pool when a second CPU is free of BLAS
-(``pool.second_cpu_free``), so that the caller can format one design's
-trajectory while the next is simulated; otherwise it simulates them in
-turn, in the caller. Both give the same bytes.
+(``pool.second_cpu_free``), so that one design's trajectory is formatted
+while the next is simulated; otherwise it simulates them in turn, in the
+caller. Both give the same bytes.
 """
 
 from __future__ import annotations

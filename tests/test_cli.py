@@ -161,6 +161,41 @@ class TestOptimize:
         assert summary["formulation"] == "unknown_location"
         assert summary["termination_reason"] == "gradient_tol"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["optimize", "--beta=1e308"], "--beta 1e+308", id="optimize"),
+        pytest.param(["optimize", "--beta=-1e308"], "--beta -1e+308", id="optimize-negative"),
+        pytest.param(["compare", "--beta=1e308", "--disturb-node", 1], "--beta 1e+308",
+                     id="compare-inline"),
+        pytest.param(["sweep-beta", "--betas=0,1e308", "--disturb-node", 1, "--known-location"],
+                     "--betas 1e+308", id="sweep-beta"),
+    ])
+    def test_overflowing_regularizer_exit_2_before_any_run(self, argv, flag, tmp_path,
+                                                           monkeypatch, capsys):
+        monkeypatch.setattr(cli, "optimize", lambda *args, **kwargs: pytest.fail("optimize ran"))
+        assert run(*argv, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_regularizer_gradient_exit_2(self, tmp_path, capsys):
+        # One machine with m_ub = 1: beta * ||m||^2 stays finite, 2 * beta * m_ub overflows.
+        net = tmp_path / "one.json"
+        net.write_text(json.dumps({"buses": [{"id": 1, "kind": "generator", "m_hat": 1.0,
+                                              "d_hat": 1.0}], "lines": []}))
+        argv = ["optimize", "--network", net, "--bounds", "0,1,0,1", "--max-iter", 3]
+        assert run(*argv, "--beta=8e307", "--out", tmp_path / "ok") == 0
+        assert run(*argv, "--beta=1e308", "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("error: --beta 1e+308: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_box_with_overflowing_midpoint_norm_exit_2(self, tmp_path, capsys):
+        # Each midpoint m is 5e199; the optimizer's tolerance takes the norm of all 18.
+        assert run("optimize", "--bounds", "0,1e200,0,1", "--out", tmp_path / "out") == 2
+        assert "the norm of the coefficient box's midpoint overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_defaults_converge_to_kkt_point(self, tmp_path, twelve_doc, twelve_net, twelve_params):
         # No tuning flags: the default tolerance must be reached well inside
         # the default iteration cap, and the written design must pass an
@@ -454,13 +489,12 @@ class TestTrajectoryWriter:
         ]
 
 
-    @pytest.mark.parametrize("n_rows, threaded", [
-        pytest.param(n_rows, threaded, id=f"threaded-{n_rows}" if threaded else str(n_rows))
-        for threaded, size in ((False, cli.TRAJECTORY_BLOCK), (True, cli.POOL_BLOCK))
-        for n_rows in (1, size - 1, size, size + 1, 2 * size + 1)
+    @pytest.mark.parametrize("n_rows", [
+        pytest.param(n_rows, id=f"threaded-{n_rows}")
+        for n_rows in (1, cli.POOL_BLOCK - 1, cli.POOL_BLOCK, cli.POOL_BLOCK + 1,
+                       2 * cli.POOL_BLOCK + 1)
     ])
-    def test_block_boundaries_match_per_value_writer(self, n_rows, threaded, tmp_path, monkeypatch):
-        monkeypatch.setattr(pool_module, "second_cpu_free", lambda: threaded)
+    def test_block_boundaries_match_per_value_writer(self, n_rows, tmp_path):
         rng = np.random.default_rng(n_rows)
         omega = rng.standard_normal((2, n_rows)) * 1e-3
         omega[1, ::7] = -0.0
@@ -644,7 +678,7 @@ class TestCompare:
             monkeypatch.setattr(pool_module, "second_cpu_free", lambda: threaded)
             out = tmp_path / str(threaded)
             capsys.readouterr()
-            # 5001 rows: several serial blocks, and a full and a partial pool block.
+            # 5001 rows: a full and a partial pool block.
             assert run(*command, "--disturb-node", 1, "--horizon", 5.0, "--out", out) == 0
             files = {f.name: f.read_bytes() for f in out.iterdir()}
             outputs[threaded] = (files, capsys.readouterr())
@@ -697,9 +731,9 @@ class TestCompare:
         assert capsys.readouterr() == ("", "error: synthetic instability\n")
         assert not list(tmp_path.glob("cmp/trajectory_*"))
         assert calls.count("simulate") == (3 if threaded else 2)
-        if threaded:
-            # The first result was being formatted when the second simulation raised.
-            assert "format" in calls
+        # On the pool the first result was being formatted when the second
+        # simulation raised; in the caller every simulation runs before any result is taken.
+        assert ("format" in calls) == threaded
         time.sleep(0.1)
         assert running == [] and late == []
 

@@ -181,6 +181,16 @@ class TestEvalObjective:
         scipy_grad_m, _ = vt.grad_h2(ss, twelve_params, P=P, Q=Q)
         assert np.max(np.abs(ev.grad_m - scipy_grad_m)) <= 1e-13 * np.max(np.abs(grad_m))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_beta_zero_adds_nothing_where_m_squared_overflows(self):
+        # m @ m = 2.25e308 overflows; 0 * inf would make J_reg NaN.
+        m = 1.5e154
+        net, params = single_machine(m=m, m_box=(0.0, m), d=1e-4 * m, d_box=(0.0, 1e-4 * m))
+        ev = vt.eval_objective(params, ObjectiveConfig(beta=0.0), net, 0)
+        assert ev.J_reg == 0.0
+        assert ev.J_total == ev.J_h2 == pytest.approx(1.0 / (2.0 * (1.0 + 1e-4 * m)), rel=1e-14)
+        assert np.all(np.isfinite(ev.grad_m)) and np.all(np.isfinite(ev.grad_d))
+
     def test_zero_m_kills_regularizer(self, twelve_net, twelve_params):
         p = twelve_params.with_design(np.zeros(twelve_params.n), twelve_params.d)
         ev0 = vt.eval_objective(p, ObjectiveConfig(beta=0.0), twelve_net, 0)
