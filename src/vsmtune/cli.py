@@ -7,13 +7,16 @@ floats at 17 significant digits so runs are exactly reproducible.
 
 Exit codes: 0 on success, 1 for runtime or numerical failures (an
 output file that cannot be written included), 2 for input validation
-failures. ``VSMTUNE_LOG`` selects the log level.
+failures. ``VSMTUNE_LOG`` selects the log level. ``entrypoint`` (the
+console script) freezes the heap once ``main`` has returned, so that
+interpreter teardown leaves it to the OS.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import logging
 import os
 import sys
@@ -646,7 +649,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    # Frozen objects are never collected, so teardown leaves the heap's module,
+    # class and function cycles to the OS rather than freeing them one by one
+    # (about 11 ms). atexit handlers, the stdio flush and the exit code stay.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

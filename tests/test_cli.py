@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import logging
 import math
@@ -52,6 +53,14 @@ def _bad_input_matrix():
             if case != "no-disturb-node":
                 argv += ["--disturb-node", "1"]  # a later --disturb-node in bad overrides it
             yield pytest.param(argv + bad, message, id=f"{case}-{command}")
+
+
+def write_ub_coeffs(path: Path, params) -> Path:
+    """A coefficients file holding the bundled network's upper-bound design."""
+    rows = [f"{g},{float(m)!r},{float(d)!r}" for g, m, d in zip(
+        (1, 2, 4, 5, 6, 8, 9, 10, 12), params.m_ub, params.d_ub)]
+    path.write_text("bus,m_opt,d_opt\n" + "\n".join(rows) + "\n")
+    return path
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -429,10 +438,7 @@ class TestSimulate:
 
     def test_numpy_only_commands_leave_scipy_linalg_unloaded(self, tmp_path, twelve_params):
         # Every command runs on numpy alone, the gramian solves included.
-        coeffs = tmp_path / "coefficients.csv"
-        rows = [f"{g},{float(m)!r},{float(d)!r}" for g, m, d in zip(
-            (1, 2, 4, 5, 6, 8, 9, 10, 12), twelve_params.m_ub, twelve_params.d_ub)]
-        coeffs.write_text("bus,m_opt,d_opt\n" + "\n".join(rows) + "\n")
+        coeffs = write_ub_coeffs(tmp_path / "coefficients.csv", twelve_params)
         script = (
             "import sys, vsmtune.cli as cli\n"
             "out = sys.argv[1]\n"
@@ -1004,3 +1010,51 @@ class TestErrorMapping:
         assert run("optimize", "--network", net, "--beta", 0.1, "--out", tmp_path) == 0
         warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warned) == 1 and "buses [4]" in warned[0]
+
+
+class TestEntrypoint:
+    """The console script's exit path: ``main``, then a frozen heap, then ``sys.exit``."""
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_freezes_once_after_main_and_passes_code_through(self, code, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(sys, "exit", lambda status: calls.append(("exit", status)))
+        cli.entrypoint()
+        assert calls == ["main", "freeze", ("exit", code)]
+
+    def test_main_alone_does_not_freeze(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert run("reduce", "--out", tmp_path) == 0
+        assert gc.get_freeze_count() == frozen
+
+    @staticmethod
+    def console(*argv):
+        """Run the CLI as ``python -m vsmtune.cli``, through ``entrypoint``."""
+        src = str(Path(vt.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "vsmtune.cli", *map(str, argv)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_console_compare_matches_in_process_main(self, tmp_path, twelve_params, capsys):
+        coeffs = write_ub_coeffs(tmp_path / "coefficients.csv", twelve_params)
+        argv = ["compare", "--disturb-node", 1, "--coeffs", coeffs, "--out"]
+        assert run(*argv, tmp_path / "in") == 0
+        in_process = capsys.readouterr().out
+        out = self.console(*argv, tmp_path / "console")
+        assert (out.returncode, out.stdout, out.stderr) == (0, in_process, "")
+        names = sorted(p.name for p in (tmp_path / "in").iterdir())
+        assert len(names) == 4
+        assert sorted(p.name for p in (tmp_path / "console").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "console" / name).read_bytes() == (
+                tmp_path / "in" / name).read_bytes(), name
+
+    def test_console_reduce_onto_a_file_exits_2(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.touch()
+        out = self.console("reduce", "--out", taken)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ")

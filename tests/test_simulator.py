@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -319,6 +320,14 @@ class TestPropagator:
         A = np.array([[-scale]])
         assert vt.simulator._propagator(A, dt)[0, 0] == pytest.approx(np.exp(-scale * dt),
                                                                       rel=1e-15)
+
+    @pytest.mark.parametrize("norm, degree", [(0.099, 9), (0.5, 14)])
+    def test_degree_is_lowest_with_tail_below_unit_roundoff(self, norm, degree):
+        # 0.099 is ||A dt||_1 of grid100 seed 1 at its lower-bound design and
+        # dt = 1e-3; 1/2 is the largest norm left after scaling.
+        assert vt.simulator._taylor_degree(norm) == degree
+        assert norm ** (degree + 1) / math.factorial(degree + 1) < 2.0**-53
+        assert norm ** degree / math.factorial(degree) >= 2.0**-53
 
     def test_huge_dt_does_not_overflow(self, twelve_ss):
         phi = vt.simulator._propagator(twelve_ss.A, 1e300)
