@@ -10,6 +10,10 @@ output file that cannot be written included), 2 for input validation
 failures. ``VSMTUNE_LOG`` selects the log level. ``entrypoint`` (the
 console script) freezes the heap once ``main`` has returned, so that
 interpreter teardown leaves it to the OS.
+
+``compare`` runs in two stages: ``simulator.compare_designs`` simulates
+every design, and ``_write_trajectories`` then writes their trajectories,
+formatted block by block on the process's thread pool (``vsmtune.pool``).
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ import gc
 import logging
 import os
 import sys
-from collections import deque
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from . import pool
+from . import pool, simulator
 from .errors import (
     ConfigurationError,
     ParameterError,
@@ -346,7 +350,7 @@ def _row_blocks(result: SimResult):
         yield rows[start:start + POOL_BLOCK]
 
 
-def _write_trajectories(gen_ids, files) -> None:
+def _write_trajectories(gen_ids, files: list[tuple[Path, SimResult]]) -> None:
     """Write each ``(path, SimResult)`` of ``files`` as a trajectory CSV, one row per sample.
 
     Each file is byte-identical to ``_write_csv`` over the same values: the
@@ -356,28 +360,22 @@ def _write_trajectories(gen_ids, files) -> None:
     block of rows at a time with numpy integer arithmetic, falling back to
     ``%`` for the few values it cannot make exactly.
 
-    No file is opened before ``files`` is exhausted, so a simulation that
-    raises while it is iterated leaves no trajectory file. Each result's
-    ``POOL_BLOCK``-row blocks are queued on the process's pool as soon as
-    it is taken from ``files``, and the files are then written in order,
-    block by block, as their text is ready; up to every file's text may be
-    held at once. No queued block outlives the call.
+    Every file's ``POOL_BLOCK``-row blocks are formatted on the process's
+    pool (``pool.ordered``), and the files are then written in order, block
+    by block, as their text is ready; up to every file's text may be held
+    at once. No block outlives the call.
     """
     header = ",".join(["t"] + [f"omega_{gid}" for gid in gen_ids]).encode() + b"\r\n"
-    queued = []
+    texts = pool.ordered(_csv_rows, (block for _, result in files for block in _row_blocks(result)))
     try:
         for path, result in files:
-            queued.append((path, deque(pool.executor().submit(_csv_rows, block)
-                                       for block in _row_blocks(result))))
-        for path, blocks in queued:
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(path, "wb") as fh:
                 fh.write(header)
-                # Each block leaves the deque, and its text is dropped, once written.
-                fh.writelines(blocks.popleft().result() for _ in range(len(blocks)))
+                fh.writelines(islice(texts, -(-len(result.t) // POOL_BLOCK)))
             log.info("wrote %s", path)
     finally:
-        pool.drain(task for _, blocks in queued for task in blocks)
+        texts.close()
 
 
 def _write_coefficients(path: Path, ctx: _Context, m: np.ndarray, d: np.ndarray) -> None:
@@ -474,17 +472,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         ("d_opt_m_opt", design),
         ("d_max_m_max", p.with_design(p.m_ub, p.d_ub)),
     ]
-    results = []
-
-    def trajectories():
-        # Each result as its simulation returns, so that formatting starts while the next runs.
-        for label, res in compare_designs(
-            ctx.net, variants, ctx.dist, horizon=args.horizon, dt=args.dt, ref_bus=ctx.ref_index
-        ):
-            results.append((label, res))
-            yield args.out / f"trajectory_{label}.csv", res
-
-    _write_trajectories(ctx.net.gen_ids, trajectories())
+    results = compare_designs(
+        ctx.net, variants, ctx.dist, horizon=args.horizon, dt=args.dt, ref_bus=ctx.ref_index
+    )
+    _write_trajectories(ctx.net.gen_ids,
+                        [(args.out / f"trajectory_{label}.csv", res) for label, res in results])
     metric_rows = []
     for label, res in results:
         for note in res.warnings:
@@ -552,10 +544,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bounds", default=None,
                        help="global bound override 'm_lb,m_ub,d_lb,d_ub'")
         if opt:
-            p.add_argument("--beta", type=float, default=0.0,
+            p.add_argument("--beta", type=float, default=ObjectiveConfig.beta,
                            help="inertia regularization weight (may be negative)")
-            p.add_argument("--max-iter", type=int, default=5000)
-            p.add_argument("--grad-tol", type=float, default=1e-6,
+            p.add_argument("--max-iter", type=int, default=DescentConfig.max_iter)
+            p.add_argument("--grad-tol", type=float, default=DescentConfig.grad_tol,
                            help="projected-gradient convergence tolerance")
             p.add_argument("--seed-point", default=None,
                            help="start: interpolation fraction in [0,1] or 2n comma values")
@@ -565,8 +557,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--disturb-kind", choices=["step", "impulse"], default="step")
             p.add_argument("--magnitude", type=float, default=0.1,
                            help="disturbance size in p.u. power")
-            p.add_argument("--horizon", type=float, default=25.0, help="simulation length (s)")
-            p.add_argument("--dt", type=float, default=1e-3, help="sample interval (s)")
+            p.add_argument("--horizon", type=float, default=simulator.DEFAULT_HORIZON,
+                           help="simulation length (s)")
+            p.add_argument("--dt", type=float, default=simulator.DEFAULT_DT,
+                           help="sample interval (s)")
 
     p_reduce = sub.add_parser("reduce", help="Kron-reduce load buses, emit the Laplacian")
     add_common(p_reduce)

@@ -11,8 +11,9 @@ keep a serial path for those cases, and both paths give the same bytes.
 The pool is shared by ``objective.eval_objective`` (the dual gramian beside
 the primal sum), ``simulator.compare_designs`` (one task per design) and
 ``cli._write_trajectories`` (every trajectory block, in every configuration).
-``concurrent.futures`` is imported when the pool is first used, so a
-process that never uses it does not pay for the import.
+The last two run a batch of calls through ``ordered``. ``concurrent.futures``
+is imported when the pool is first used, so a process that never uses it
+does not pay for the import.
 """
 
 from __future__ import annotations
@@ -58,16 +59,25 @@ def executor():
     return _pool[1]
 
 
-def drain(futures) -> None:
-    """Cancel each of ``futures`` that has not started and wait for the rest to end.
+def ordered(fn, items):
+    """Yield ``fn(item)`` for each of ``items`` in order, each call a task on the pool.
 
-    Outcomes are dropped; a caller drains what it abandons, so that no
-    task it submitted outlives it.
+    Every call is submitted when the first result is asked for, and each
+    result is dropped once yielded. If a call raises, or the generator is
+    closed before its end, the calls that have not started are cancelled
+    and the rest are waited for before the exception or the close goes on,
+    so no call outlives the generator.
     """
-    futures = list(futures)
-    if futures:
-        from concurrent.futures import wait
+    from concurrent.futures import wait
 
-        for future in futures:
-            future.cancel()
-        wait(futures)
+    tasks = []
+    try:
+        for item in items:
+            tasks.append(executor().submit(fn, item))
+        tasks.reverse()  # popped from the end, so each is dropped once its result is taken
+        while tasks:
+            yield tasks.pop().result()
+    finally:
+        for task in tasks:
+            task.cancel()
+        wait(tasks)

@@ -24,16 +24,14 @@ settling time are read on the sample grid: the largest sample, and the
 band crossing interpolated linearly between two samples.
 
 ``compare_designs`` runs each design's simulation as a task on the
-process's thread pool when a second CPU is free of BLAS
-(``pool.second_cpu_free``), so that one design's trajectory is formatted
-while the next is simulated; otherwise it simulates them in turn, in the
-caller. Both give the same bytes.
+process's thread pool (``pool.ordered``) when a second CPU is free of BLAS
+(``pool.second_cpu_free``), and in turn, in the caller, otherwise. Both
+return the same list.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +44,10 @@ STEP = "step"
 IMPULSE = "impulse"
 
 SETTLE_BAND_FRACTION = 0.02
+
+# Simulation length and sample interval (s), also the CLI's --horizon and --dt defaults.
+DEFAULT_HORIZON = 25.0
+DEFAULT_DT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -170,8 +172,8 @@ def sample_buffer(horizon: float, dt: float, dim: int) -> np.ndarray:
 def simulate(
     ss: StateSpace,
     dist: Disturbance,
-    horizon: float = 25.0,
-    dt: float = 1e-3,
+    horizon: float = DEFAULT_HORIZON,
+    dt: float = DEFAULT_DT,
 ) -> SimResult:
     """Sample the closed-loop response to one disturbance.
 
@@ -234,39 +236,26 @@ def compare_designs(
     net: ReducedNetwork,
     variants: list[tuple[str, DeviceParams]],
     dist: Disturbance,
-    horizon: float = 25.0,
-    dt: float = 1e-3,
+    horizon: float = DEFAULT_HORIZON,
+    dt: float = DEFAULT_DT,
     ref_bus: int = 0,
-) -> Iterator[tuple[str, SimResult]]:
+) -> list[tuple[str, SimResult]]:
     """Simulate several coefficient designs under one disturbance.
 
-    Every variant sees the identical disturbance and grid. The labels are
-    checked and every simulation is started when this is called; the
-    returned iterator yields ``(label, SimResult)`` pairs sorted by label,
-    so output ordering is deterministic. With a second CPU free of BLAS
-    the simulations run on the process's pool and each pair is yielded
-    once its simulation has returned; a simulation's exception is raised
-    there, after the other simulations have been cancelled or have ended.
-    Otherwise every simulation has run, in the caller, before this returns.
+    Every variant sees the identical disturbance and grid. Returns the
+    ``(label, SimResult)`` pairs sorted by label, so output ordering is
+    deterministic. With a second CPU free of BLAS the simulations run on
+    the process's pool; a simulation's exception is raised here, after the
+    other simulations have been cancelled or have ended.
     """
     labels = [label for label, _ in variants]
     if len(labels) != len(set(labels)):
         raise ValidationError("variant labels must be unique")
-    variants = sorted(variants, key=lambda lv: lv[0])
 
-    def run(params: DeviceParams) -> SimResult:
+    def run(variant: tuple[str, DeviceParams]) -> tuple[str, SimResult]:
+        label, params = variant
         ss = assemble_state_space(net, params, ref_bus)
-        return simulate(ss, dist, horizon=horizon, dt=dt)
+        return label, simulate(ss, dist, horizon=horizon, dt=dt)
 
-    if not pool.second_cpu_free():
-        return iter([(label, run(params)) for label, params in variants])
-    return _in_order([(label, pool.executor().submit(run, params)) for label, params in variants])
-
-
-def _in_order(tasks: list) -> Iterator[tuple[str, SimResult]]:
-    """Each ``(label, task)``'s label and result in turn; no task outlives the iteration."""
-    try:
-        for label, task in tasks:
-            yield label, task.result()
-    finally:
-        pool.drain(task for _, task in tasks)
+    variants = sorted(variants, key=lambda lv: lv[0])
+    return list(pool.ordered(run, variants) if pool.second_cpu_free() else map(run, variants))

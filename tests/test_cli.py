@@ -1,5 +1,6 @@
 import csv
 import gc
+import inspect
 import json
 import logging
 import math
@@ -637,6 +638,23 @@ class TestCsvRowsKernelPath:
         assert fallback_count == [len(values)]
 
 
+@pytest.mark.parametrize("command", ["optimize", "simulate", "compare", "sweep-beta"])
+def test_parser_defaults_are_the_librarys(command):
+    args = cli.build_parser().parse_args([command] + (["--betas", "0"] if command == "sweep-beta"
+                                                      else []))
+    if hasattr(args, "horizon"):
+        for fn in (vt.simulate, vt.compare_designs):
+            params = inspect.signature(fn).parameters
+            assert (args.horizon, args.dt) == (params["horizon"].default, params["dt"].default)
+        assert (args.horizon, args.dt) == (25.0, 1e-3)
+    if hasattr(args, "max_iter"):
+        assert (args.max_iter, args.grad_tol) == (vt.DescentConfig().max_iter,
+                                                  vt.DescentConfig().grad_tol)
+        assert args.beta == vt.ObjectiveConfig().beta
+    assert hasattr(args, "horizon") == (command != "optimize")
+    assert hasattr(args, "max_iter") == (command != "simulate")
+
+
 class TestCompare:
     def test_three_variants_written(self, tmp_path):
         assert run(
@@ -737,9 +755,8 @@ class TestCompare:
         assert capsys.readouterr() == ("", "error: synthetic instability\n")
         assert not list(tmp_path.glob("cmp/trajectory_*"))
         assert calls.count("simulate") == (3 if threaded else 2)
-        # On the pool the first result was being formatted when the second
-        # simulation raised; in the caller every simulation runs before any result is taken.
-        assert ("format" in calls) == threaded
+        # Every simulation returns before any block is formatted, on both paths.
+        assert "format" not in calls
         time.sleep(0.1)
         assert running == [] and late == []
 

@@ -1,6 +1,9 @@
+import os
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,50 +536,71 @@ class TestLazySquaring:
         assert str(raised.value) == "system matrix is not Hurwitz (spectral abscissa 0.000e+00)"
 
 
+def each_power_formed_once():
+    """Four threads sum from one shared factor: each power is formed once, and every sum is serial's.
+
+    Sums are bitwise equal to the serial ones only with BLAS on one thread,
+    the only configuration in which the package shares a factor between
+    threads (``pool.second_cpu_free``); a multithreaded OpenBLAS sometimes
+    rounds them differently.
+    """
+    net, params = grid_problem(4, 60)
+    ss = vt.assemble_state_space(net, params, 0)
+    eager = CayleyFactor(ss.A)
+    P, Q = solve_lyapunov(eager, ss.B), solve_lyapunov(eager, ss.C.T, dual=True)
+    square = CayleyFactor.square
+    stored = []
+
+    def counting(factor):
+        formed = square(factor)
+        stored.append(formed)
+        return formed
+
+    # Four sums, more threads than two cores, switching often.
+    sums = [(False, ss.B, P), (True, ss.C.T, Q)] * 2
+    interval = sys.getswitchinterval()
+    CayleyFactor.square = counting
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            factor = CayleyFactor(ss.A, shared=True)
+            stored.clear()
+            barrier = threading.Barrier(len(sums))
+            results = [None] * len(sums)
+
+            def run(k, dual, F):
+                barrier.wait(10)
+                results[k] = solve_lyapunov(factor, F, dual=dual)
+
+            threads = [threading.Thread(target=run, args=(k, dual, F))
+                       for k, (dual, F, _) in enumerate(sums)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+            assert sum(stored) == len(factor.powers) == len(eager.powers)
+            assert all(np.array_equal(a, b) for a, b in zip(factor.powers, eager.powers))
+            assert all(np.array_equal(X, ref) for X, (_, _, ref) in zip(results, sums))
+    finally:
+        sys.setswitchinterval(interval)
+        CayleyFactor.square = square
+
+
 class TestTwoThreads:
     """Two threads taking powers from one factor, as ``eval_objective``'s worker and caller do."""
 
-    def test_each_power_formed_once(self, monkeypatch):
-        net, params = grid_problem(4, 60)
-        ss = vt.assemble_state_space(net, params, 0)
-        eager = CayleyFactor(ss.A)
-        P, Q = solve_lyapunov(eager, ss.B), solve_lyapunov(eager, ss.C.T, dual=True)
-        square = CayleyFactor.square
-        stored = []
-
-        def counting(factor):
-            formed = square(factor)
-            stored.append(formed)
-            return formed
-
-        monkeypatch.setattr(CayleyFactor, "square", counting)
-        # Four sums, more threads than this machine's two cores, switching often.
-        sums = [(False, ss.B, P), (True, ss.C.T, Q)] * 2
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(10):
-                factor = CayleyFactor(ss.A, shared=True)
-                stored.clear()
-                barrier = threading.Barrier(len(sums))
-                results = [None] * len(sums)
-
-                def run(k, dual, F):
-                    barrier.wait(10)
-                    results[k] = solve_lyapunov(factor, F, dual=dual)
-
-                threads = [threading.Thread(target=run, args=(k, dual, F))
-                           for k, (dual, F, _) in enumerate(sums)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(30)
-                    assert not thread.is_alive()
-                assert sum(stored) == len(factor.powers) == len(eager.powers)
-                assert all(np.array_equal(a, b) for a, b in zip(factor.powers, eager.powers))
-                assert all(np.array_equal(X, ref) for X, (_, _, ref) in zip(results, sums))
-        finally:
-            sys.setswitchinterval(interval)
+    def test_each_power_formed_once(self):
+        # In a child with BLAS on one thread, whatever this process was started with.
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        out = subprocess.run(
+            [sys.executable, "-c", "import test_lyapunov; test_lyapunov.each_power_formed_once()"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
 
     def test_stop_ends_a_waiting_sum(self):
         net, params = grid_problem(4, 60)

@@ -10,6 +10,8 @@ from scipy.linalg import expm
 
 import vsmtune as vt
 import vsmtune.lyapunov as lyapunov
+import vsmtune.pool as pool_module
+import vsmtune.simulator as simulator_module
 from vsmtune import Disturbance, compare_designs, simulate
 
 from conftest import gramians, output_energy, random_connected_spec, single_machine
@@ -369,6 +371,38 @@ class TestCompareDesigns:
                               dist, horizon=2.0, dt=1e-3)
         labels = [label for label, _ in out]
         assert labels == sorted(labels)
+
+    @pytest.mark.parametrize("threaded", [False, True], ids=["caller", "pool"])
+    def test_returns_a_list_on_both_paths(self, threaded, monkeypatch, twelve_net,
+                                          twelve_params):
+        monkeypatch.setattr(pool_module, "second_cpu_free", lambda: threaded)
+        dist = Disturbance("step", twelve_net.index_of(6), 0.1)
+        out = compare_designs(twelve_net, self.variants(twelve_params), dist, horizon=1.0)
+        assert isinstance(out, list)
+        labels = [label for label, _ in out]
+        assert labels == ["d_max_m_max", "d_max_m_min", "d_opt_m_opt"]
+        # A second pass sees the same pairs.
+        assert [label for label, _ in out] == labels
+        ss = vt.assemble_state_space(twelve_net, twelve_params.with_design(
+            twelve_params.m_ub, twelve_params.d_ub), 0)
+        assert np.array_equal(out[0][1].omega, simulate(ss, dist, horizon=1.0).omega)
+
+    @pytest.mark.parametrize("threaded", [False, True], ids=["caller", "pool"])
+    def test_failed_simulation_raises_from_the_call(self, threaded, monkeypatch, twelve_net,
+                                                    twelve_params):
+        monkeypatch.setattr(pool_module, "second_cpu_free", lambda: threaded)
+        variants = self.variants(twelve_params)
+        # The second design in label order.
+        failing = vt.assemble_state_space(twelve_net, variants[0][1], 0).A
+
+        def fail_one(ss, dist, **kwargs):
+            if np.array_equal(ss.A, failing):
+                raise vt.StabilityError("synthetic instability")
+            return simulate(ss, dist, **kwargs)
+
+        monkeypatch.setattr(simulator_module, "simulate", fail_one)
+        with pytest.raises(vt.StabilityError, match="synthetic instability"):
+            compare_designs(twelve_net, variants, Disturbance("step", 0, 0.1), horizon=1.0)
 
     def test_duplicate_labels_rejected(self, twelve_net, twelve_params):
         with pytest.raises(vt.ValidationError, match="unique"):
