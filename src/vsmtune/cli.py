@@ -2,8 +2,11 @@
 
 Subcommands: ``reduce``, ``optimize``, ``simulate``, ``compare`` and
 ``sweep-beta``. Networks come from JSON files (defaulting to the bundled
-twelve-bus dataset); results go to CSV files with a header row and all
-floats at 17 significant digits so runs are exactly reproducible.
+twelve-bus dataset), whose ``defaults.ref_bus``, else the first generator,
+grounds the angles; results go to CSV files with a header row and all
+floats at 17 significant digits so runs are exactly reproducible. Every
+flag has one spelling (argparse takes no prefix) and is converted once,
+as argparse reads it; ``_Context`` checks the rest before any run.
 
 Exit codes: 0 on success, 1 for runtime or numerical failures (an
 output file that cannot be written included), 2 for input validation
@@ -189,10 +192,11 @@ def _load_coeffs(path: Path, gen_ids: tuple[int, ...], params: DeviceParams) -> 
 class _Context:
     """The network and every flag one command reads, checked before any work.
 
-    ``_resolve_args`` has parsed the flags that need no network; this checks
-    the rest against the loaded network, so that an input error exits 2
-    before anything is optimized, simulated or written. An attribute that
-    the command does not read is None, and the flags behind it go unchecked:
+    argparse has converted the flags that need no network; this checks
+    ``--out`` before the network is read, then the rest against the loaded
+    network, so that an input error exits 2 before anything is optimized,
+    simulated or written. An attribute that the command does not read is
+    None, and the flags behind it go unchecked:
 
     - ``design``: the ``--coeffs`` design;
     - ``dist``: for ``simulate``, ``compare`` and ``sweep-beta``, the disturbance
@@ -205,12 +209,17 @@ class _Context:
     """
 
     def __init__(self, args: argparse.Namespace):
-        self.doc: NetworkDocument = load_network(args.network)
+        # The mkdir after the run fails unless --out's nearest existing ancestor is a directory.
+        ancestor = args.out
+        while not ancestor.exists() and ancestor != ancestor.parent:
+            ancestor = ancestor.parent
+        if ancestor.exists() and not ancestor.is_dir():
+            raise ConfigurationError(f"--out {args.out}: {ancestor} exists and is not a directory")
+        self.doc: NetworkDocument = load_network(args.network or bundled_network_path())
         self.net: ReducedNetwork = reduce_network(self.doc.spec)
-        self.params: DeviceParams = device_params(self.doc, self.net.gen_ids, args.bounds)
-        self.ref_id = args.ref_bus if args.ref_bus is not None else self.doc.ref_bus
-        if self.ref_id is None:
-            self.ref_id = self.net.gen_ids[0]
+        self.params: DeviceParams = device_params(self.doc, self.net.gen_ids,
+                                                  getattr(args, "bounds", None))
+        self.ref_id = self.doc.ref_bus if self.doc.ref_bus is not None else self.net.gen_ids[0]
         self.ref_index = self.net.index_of(self.ref_id)
         coeffs = getattr(args, "coeffs", None)
         self.design: DeviceParams | None = None
@@ -239,7 +248,9 @@ class _Context:
                 if not np.isfinite(np.linalg.norm(np.concatenate(self.params.box_midpoint()))):
                     raise ConfigurationError(
                         "--bounds: the norm of the coefficient box's midpoint overflows")
-                for beta in getattr(args, "betas", [args.beta]):
+                for beta in getattr(args, "betas", None) or [args.beta]:
+                    if not np.isfinite(beta):  # only --beta: _floats has checked --betas
+                        raise ConfigurationError(f"--beta must be a finite number, got {beta!r}")
                     reg = (beta * (m_ub @ m_ub), 2 * beta * m_ub.max())
                     if beta and not np.isfinite(reg).all():
                         raise ConfigurationError(f"{flag} {beta!r}: beta * (m_ub @ m_ub) or "
@@ -532,20 +543,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vsmtune",
         description="Design per-bus virtual inertia/damping coefficients and "
                     "verify them in the time domain.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, sim: bool = False, opt: bool = False):
-        p.add_argument("--network", default=None,
+    def command(name: str, text: str, sim: bool = False, opt: bool = False):
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        p.add_argument("--network", type=Path, default=None,
                        help="network JSON file (default: bundled twelve_bus dataset)")
-        p.add_argument("--out", default=".", help="output directory for CSV files")
-        p.add_argument("--ref-bus", type=int, default=None,
-                       help="reference generator bus id (default: from file, else first)")
-        p.add_argument("--bounds", default=None,
-                       help="global bound override 'm_lb,m_ub,d_lb,d_ub'")
+        p.add_argument("--out", type=Path, default=".", help="output directory for CSV files")
+        if sim or opt:
+            p.add_argument("--bounds", type=_parse_bounds, default=None,
+                           help="global bound override 'm_lb,m_ub,d_lb,d_ub'")
         if opt:
-            p.add_argument("--beta", type=float, default=ObjectiveConfig.beta,
-                           help="inertia regularization weight (may be negative)")
             p.add_argument("--max-iter", type=int, default=DescentConfig.max_iter)
             p.add_argument("--grad-tol", type=float, default=DescentConfig.grad_tol,
                            help="projected-gradient convergence tolerance")
@@ -561,52 +571,30 @@ def build_parser() -> argparse.ArgumentParser:
                            help="simulation length (s)")
             p.add_argument("--dt", type=float, default=simulator.DEFAULT_DT,
                            help="sample interval (s)")
+        return p
 
-    p_reduce = sub.add_parser("reduce", help="Kron-reduce load buses, emit the Laplacian")
-    add_common(p_reduce)
-
-    p_opt = sub.add_parser("optimize", help="solve for optimal coefficients")
-    add_common(p_opt, opt=True)
+    command("reduce", "Kron-reduce load buses, emit the Laplacian")
+    p_opt = command("optimize", "solve for optimal coefficients", opt=True)
     p_opt.add_argument("--disturb-node", type=int, default=None,
                        help="known disturbance location; switches to the single-channel model")
-
-    p_sim = sub.add_parser("simulate", help="time-domain response of one design")
-    add_common(p_sim, sim=True)
-    p_sim.add_argument("--coeffs", default=None,
+    p_sim = command("simulate", "time-domain response of one design", sim=True)
+    p_sim.add_argument("--coeffs", type=Path, default=None,
                        help="coefficients CSV from 'optimize' (default: lower bounds)")
-
-    p_cmp = sub.add_parser("compare", help="compare min/opt/max coefficient designs")
-    add_common(p_cmp, sim=True, opt=True)
-    p_cmp.add_argument("--coeffs", default=None,
+    p_cmp = command("compare", "compare min/opt/max coefficient designs", sim=True, opt=True)
+    p_cmp.add_argument("--coeffs", type=Path, default=None,
                        help="coefficients CSV from 'optimize' (default: optimize inline)")
     p_cmp.add_argument("--known-location", action="store_true",
                        help="inline optimization uses the single-channel model at --disturb-node")
-
-    p_swp = sub.add_parser("sweep-beta", help="optimize+simulate across regularization weights")
-    add_common(p_swp, sim=True, opt=True)
-    p_swp.add_argument("--betas", required=True,
+    for p in (p_opt, p_cmp):
+        p.add_argument("--beta", type=float, default=ObjectiveConfig.beta,
+                       help="inertia regularization weight (may be negative)")
+    p_swp = command("sweep-beta", "optimize+simulate across regularization weights",
+                    sim=True, opt=True)
+    p_swp.add_argument("--betas", type=lambda text: _floats(text, "--betas"), required=True,
                        help="comma-separated regularization weights (use --betas=-0.1,0 for negatives)")
     p_swp.add_argument("--known-location", action="store_true",
                        help="optimize the single-channel model at --disturb-node")
     return parser
-
-
-def _resolve_args(args: argparse.Namespace) -> argparse.Namespace:
-    """Parse the flags that argparse leaves as text; judge --out before any run."""
-    args.network = Path(args.network if args.network is not None else bundled_network_path())
-    args.out = Path(args.out)
-    args.bounds = _parse_bounds(args.bounds) if args.bounds else None
-    # The mkdir after the run fails unless the nearest existing ancestor of --out is a directory.
-    ancestor = args.out
-    while not ancestor.exists() and ancestor != ancestor.parent:
-        ancestor = ancestor.parent
-    if ancestor.exists() and not ancestor.is_dir():
-        raise ConfigurationError(f"--out {args.out}: {ancestor} exists and is not a directory")
-    if hasattr(args, "coeffs"):
-        args.coeffs = Path(args.coeffs) if args.coeffs else None
-    if hasattr(args, "betas"):
-        args.betas = _floats(args.betas, "--betas")
-    return args
 
 
 COMMANDS = {
@@ -623,10 +611,9 @@ def main(argv: list[str] | None = None) -> int:
     level = getattr(logging, os.environ.get("VSMTUNE_LOG", "warning").upper(), None)
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](_resolve_args(args))
+        args = build_parser().parse_args(argv)
+        return COMMANDS[args.command](args)
     except (ValidationError, ConfigurationError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -650,7 +650,9 @@ def test_parser_defaults_are_the_librarys(command):
     if hasattr(args, "max_iter"):
         assert (args.max_iter, args.grad_tol) == (vt.DescentConfig().max_iter,
                                                   vt.DescentConfig().grad_tol)
+    if hasattr(args, "beta"):
         assert args.beta == vt.ObjectiveConfig().beta
+    assert hasattr(args, "beta") == (command in ("optimize", "compare"))
     assert hasattr(args, "horizon") == (command != "optimize")
     assert hasattr(args, "max_iter") == (command != "simulate")
 
@@ -925,6 +927,66 @@ def test_removed_gamma0_flag_rejected(command, tmp_path, capsys):
     assert "unrecognized arguments: --gamma0" in capsys.readouterr().err
 
 
+FLAGS = {
+    "reduce": {"--network", "--out"},
+    "optimize": {"--network", "--out", "--bounds", "--max-iter", "--grad-tol", "--seed-point",
+                 "--beta", "--disturb-node"},
+    "simulate": {"--network", "--out", "--bounds", "--disturb-node", "--disturb-kind",
+                 "--magnitude", "--horizon", "--dt", "--coeffs"},
+    "compare": {"--network", "--out", "--bounds", "--max-iter", "--grad-tol", "--seed-point",
+                "--disturb-node", "--disturb-kind", "--magnitude", "--horizon", "--dt",
+                "--coeffs", "--known-location", "--beta"},
+    "sweep-beta": {"--network", "--out", "--bounds", "--max-iter", "--grad-tol", "--seed-point",
+                   "--disturb-node", "--disturb-kind", "--magnitude", "--horizon", "--dt",
+                   "--betas", "--known-location"},
+}
+
+
+def test_each_command_declares_exactly_its_flags():
+    parser = cli.build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    assert set(commands) == set(FLAGS)
+    for name, sub in commands.items():
+        flags = [f for action in sub._actions if action.dest != "help"
+                 for f in action.option_strings]
+        assert sorted(flags) == sorted(FLAGS[name]), name
+    assert [len(FLAGS[name]) for name in commands] == [2, 8, 9, 14, 13]
+    assert not parser.allow_abbrev
+    assert not any(sub.allow_abbrev for sub in commands.values())
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["reduce", "--ref-bus", 1], "--ref-bus", id="reduce-ref-bus"),
+    pytest.param(["reduce", "--bounds", "0,1,0,1"], "--bounds", id="reduce-bounds"),
+    pytest.param(["optimize", "--ref-bus", 1], "--ref-bus", id="optimize-ref-bus"),
+    pytest.param(["simulate", "--disturb-node", 1, "--ref-bus", 1], "--ref-bus",
+                 id="simulate-ref-bus"),
+    # Neither beta = 0 alone nor --beta read as a prefix of --betas (a sweep of beta = 5).
+    pytest.param(["sweep-beta", "--betas", 0, "--beta", 5, "--disturb-node", 1, "--max-iter", 3,
+                  "--horizon", 1], "--beta 5", id="sweep-beta-beta"),
+    # Prefixes of --max-iter and --known-location.
+    pytest.param(["optimize", "--max", 3], "--max", id="optimize-prefix"),
+    pytest.param(["compare", "--disturb-node", 1, "--known"], "--known", id="compare-prefix"),
+])
+def test_removed_flags_and_prefixes_exit_2(argv, flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out", tmp_path / "out")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, value", [
+    pytest.param(["optimize", "--beta", "nan"], "nan", id="optimize"),
+    pytest.param(["compare", "--disturb-node", 1, "--beta", "inf"], "inf", id="compare"),
+])
+def test_non_finite_beta_exit_2(argv, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "optimize", lambda *args, **kwargs: pytest.fail("optimize ran"))
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: --beta must be a finite number, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestErrorMapping:
     def test_stability_error_exit_1(self, monkeypatch, tmp_path):
         def boom(cfg):
@@ -956,17 +1018,17 @@ class TestErrorMapping:
         assert run("reduce", "--out", tmp_path) == 1
         assert "error: [Errno 13] Permission denied" in capsys.readouterr().err
 
-    def test_network_flag_default_is_bundled(self):
-        args = cli._resolve_args(cli.build_parser().parse_args(["reduce"]))
-        assert args.network == bundled_network_path()
+    def test_network_flag_default_is_bundled(self, tmp_path, monkeypatch):
+        assert cli.build_parser().parse_args(["reduce"]).network is None
+        read = []
+        real_load = cli.load_network
+        monkeypatch.setattr(cli, "load_network", lambda path: read.append(path) or real_load(path))
+        assert run("reduce", "--out", tmp_path) == 0
+        assert read == [bundled_network_path()]
 
     def test_load_bus_as_disturbance_exit_2(self, tmp_path, capsys):
         assert run("simulate", "--disturb-node", 3, "--out", tmp_path) == 2
         assert "not a generator bus" in capsys.readouterr().err
-
-    def test_load_bus_as_reference_exit_2(self, tmp_path):
-        assert run("simulate", "--disturb-node", 6, "--ref-bus", 7,
-                   "--out", tmp_path) == 2
 
     def test_log_env_var_naming_no_level_means_warning(self, tmp_path):
         # In a fresh process, where basicConfig sets the root level: the

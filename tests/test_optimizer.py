@@ -129,6 +129,30 @@ class TestOptimizeTwelveBus:
         assert np.array_equal(again.d_star, result.d_star)
 
 
+@pytest.mark.parametrize("known", [False, True], ids=["all-channels", "known-location"])
+def test_reference_bus_only_grounds_the_angles(known, twelve_net, twelve_params):
+    # The CLI grounds the angles at the file's ref_bus and offers no override:
+    # J, its gradient and the optimized design must not depend on the choice.
+    eta = np.eye(twelve_net.n)[twelve_net.index_of(1)] if known else None
+    cfg = ObjectiveConfig(eta=eta)
+    evals = [vt.eval_objective(twelve_params, cfg, twelve_net, ref)
+             for ref in range(twelve_net.n)]
+    runs = [optimize(twelve_net, twelve_params, cfg, DescentConfig(), ref_bus=ref)
+            for ref in range(twelve_net.n)]
+    grad0 = np.concatenate([evals[0].grad_m, evals[0].grad_d])
+    for ev in evals[1:]:
+        assert abs(ev.J_total - evals[0].J_total) <= 1e-12 * abs(evals[0].J_total)
+        grad = np.concatenate([ev.grad_m, ev.grad_d])
+        assert np.linalg.norm(grad - grad0) <= 1e-12 * np.linalg.norm(grad0)
+    first = runs[0]
+    assert first.converged
+    for res in runs[1:]:
+        assert res.iterations == first.iterations
+        assert abs(res.J_history[-1] - first.J_history[-1]) <= 1e-12 * abs(first.J_history[-1])
+        assert np.max(np.abs(res.m_star - first.m_star)) <= 1e-10
+        assert np.max(np.abs(res.d_star - first.d_star)) <= 1e-10
+
+
 class TestDefaultConvergence:
     def test_default_config_converges_in_few_iterations(self, twelve_net, twelve_params):
         # The Barzilai-Borwein step follows the flat total-inertia direction,
