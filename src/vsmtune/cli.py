@@ -549,6 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, text: str, sim: bool = False, opt: bool = False):
         p = sub.add_parser(name, help=text, allow_abbrev=False)
+        p.set_defaults(parser=p)  # reports a flag the command does not know, with its usage
         p.add_argument("--network", type=Path, default=None,
                        help="network JSON file (default: bundled twelve_bus dataset)")
         p.add_argument("--out", type=Path, default=".", help="output directory for CSV files")
@@ -612,7 +613,9 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        args = build_parser().parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         return COMMANDS[args.command](args)
     except (ValidationError, ConfigurationError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

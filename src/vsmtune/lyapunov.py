@@ -46,9 +46,10 @@ compute the eigenvalues.
 A ``CayleyFactor`` holds no power until a sum asks for one: it keeps the
 powers of ``T`` in one list, ``powers``, and ``square()`` appends the next
 one or, when none is needed, ends in the stability certificate. Sums ask
-through ``power(j)``, which forms a missing power. Two threads can sum
-from one factor built with ``shared=True``: a thread that finds the other
-squaring waits for it, so each power is formed once, by the same product.
+through ``power(j)``, which forms a missing power. Any number of threads
+may sum from one factor: a thread forms a power only while it holds the
+factor's lock, so each power is formed once, by the same product, and a
+thread that needs a power another is forming waits for it.
 A sum with a stop rule squares only once it has summed every stored
 power. A sum without one first squares until ``SQUARE_AHEAD`` powers lie
 past the furthest power any sum has asked for. Beside a primal sum in
@@ -196,12 +197,12 @@ class CayleyFactor:
     """Cayley transform of ``A``: ``S = sqrt(2q) (A - qI)^-1``, ``T`` and its stored powers.
 
     ``powers`` lists ``T, T^2, T^4, ...`` as far as ``square()`` has formed
-    them, none at first. Two threads may take powers from a ``shared``
+    them, none at first. Any number of threads may take powers from one
     factor through ``power()``. Raises ``ValueError`` if ``A`` is not a
     finite, non-empty square matrix.
     """
 
-    def __init__(self, A: np.ndarray, shared: bool = False):
+    def __init__(self, A: np.ndarray):
         A = _as_square(A, "A")
         with np.errstate(all="ignore"):
             q, R = _shift_inverse(A)
@@ -214,19 +215,15 @@ class CayleyFactor:
         self._norm = np.inf  # ||powers[-1]||_F
         self._complete = False
         self._failure: str | None = None  # the certificate's StabilityError message
-        # Only a shared factor has the condition, which guards _squaring (a thread
-        # is in square()) and wakes threads that wait for it.
-        self._turn = threading.Condition(threading.Lock()) if shared else None
-        self._squaring = False
+        self._lock = threading.Lock()  # held by the one thread inside square()
         self._stopped = False
         self._asked = 0  # 1 + the furthest power index a power() call asked for
 
     def power(self, j: int) -> np.ndarray | None:
         """``T^(2^j)``, or None once the certificate has passed and ``j`` is past the last power.
 
-        A missing power is formed here, through ``square()``. On a shared
-        factor, when another thread is squaring, this waits for it instead,
-        so each power is formed once.
+        A missing power is formed here, through ``square()`` under the
+        factor's lock, so each power is formed once, whichever thread asks.
 
         Raises
         ------
@@ -235,8 +232,8 @@ class CayleyFactor:
         FactorStopped
             Once ``stop()`` has been called.
         """
-        # Only square_ahead reads _asked, so an update lost to a race in a
-        # shared factor changes which thread squares, not any result.
+        # Only square_ahead reads _asked, so an update lost to a race between
+        # threads changes which thread squares, not any result.
         if j >= self._asked:
             self._asked = j + 1
         return self._power(j)
@@ -246,9 +243,7 @@ class CayleyFactor:
 
         Raises as ``power()`` does.
         """
-        j = len(self.powers)
-        while j < self._asked + SQUARE_AHEAD and self._power(j) is not None:
-            j += 1
+        self._power(self._asked + SQUARE_AHEAD - 1)
 
     def _power(self, j: int) -> np.ndarray | None:
         # powers only grows, so a stored power is read without the lock.
@@ -257,32 +252,13 @@ class CayleyFactor:
                 raise FactorStopped("the Cayley factor was stopped")
             if j < len(self.powers):
                 return self.powers[j]
-            if not self._square_or_wait():
-                return None
-
-    def _square_or_wait(self) -> bool:
-        """``square()``, or True once another thread that was squaring has finished."""
-        turn = self._turn
-        if turn is None:
-            return self.square()
-        with turn:
-            if self._squaring:
-                turn.wait()
-                return True
-            self._squaring = True
-        try:
-            return self.square()
-        finally:
-            with turn:
-                self._squaring = False
-                turn.notify_all()
+            with self._lock:
+                if not self._stopped and j >= len(self.powers) and not self.square():
+                    return None
 
     def stop(self) -> None:
         """Make every later ``power()`` call, in any thread, raise ``FactorStopped``."""
         self._stopped = True
-        if self._turn is not None:
-            with self._turn:
-                self._turn.notify_all()
 
     def square(self) -> bool:
         """Store the next power and return True, or certify stability and return False.
@@ -293,8 +269,8 @@ class CayleyFactor:
         ``MAX_SQUARINGS``, the certificate reads the spectral abscissa from
         ``is_hurwitz``. A complete factor returns False at once, and a
         failed one raises its message again. Sums call it through
-        ``power()``, which lets only one thread of a shared factor square
-        at a time.
+        ``power()``, which holds the factor's lock around it, so only one
+        thread squares at a time.
 
         Raises
         ------

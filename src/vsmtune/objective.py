@@ -169,7 +169,7 @@ def eval_objective(
     w = np.einsum("ij,ij->j", ss.C, ss.C)
     reject = None if reject_above is None else RejectAbove(w, J_reg, reject_above)
     overlap = _overlap(len(ss.A))
-    factor = CayleyFactor(ss.A, shared=overlap)
+    factor = CayleyFactor(ss.A)
     dual = pool.executor().submit(solve_lyapunov, factor, ss.C.T, True) if overlap else None
     Q = None
     try:

@@ -972,7 +972,10 @@ def test_removed_flags_and_prefixes_exit_2(argv, flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(*argv, "--out", tmp_path / "out")
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err
+    # The usage line is the command's, which lists its flags.
+    assert err.startswith(f"usage: vsmtune {argv[0]} [-h] [--network NETWORK]")
     assert not (tmp_path / "out").exists()
 
 

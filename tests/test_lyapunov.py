@@ -537,7 +537,7 @@ class TestLazySquaring:
 
 
 def each_power_formed_once():
-    """Four threads sum from one shared factor: each power is formed once, and every sum is serial's.
+    """Four threads sum from one factor: each power is formed once, and every sum is serial's.
 
     Sums are bitwise equal to the serial ones only with BLAS on one thread,
     the only configuration in which the package shares a factor between
@@ -563,7 +563,7 @@ def each_power_formed_once():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            factor = CayleyFactor(ss.A, shared=True)
+            factor = CayleyFactor(ss.A)
             stored.clear()
             barrier = threading.Barrier(len(sums))
             results = [None] * len(sums)
@@ -605,8 +605,8 @@ class TestTwoThreads:
     def test_stop_ends_a_waiting_sum(self):
         net, params = grid_problem(4, 60)
         ss = vt.assemble_state_space(net, params, 0)
-        factor = CayleyFactor(ss.A, shared=True)
-        factor._squaring = True  # as if another thread were forming the first power
+        factor = CayleyFactor(ss.A)
+        factor._lock.acquire()  # as if another thread were forming the first power
         outcome = []
 
         def run():
@@ -620,6 +620,7 @@ class TestTwoThreads:
         thread.join(0.05)
         assert thread.is_alive()
         factor.stop()
+        factor._lock.release()  # the squaring it waits on ends
         thread.join(10)
         assert not thread.is_alive() and len(outcome) == 1
         with pytest.raises(lyapunov.FactorStopped):

@@ -1,0 +1,96 @@
+"""Tier-1 record of what CLI runs compute and how much work they take.
+
+``tests/data/record.json`` names each recorded invocation and keeps its
+arguments and results: the optimizer's iterations, its
+``optimizer.eval_objective`` calls (evaluations) and ``J_final`` from
+``summary.csv``. Each invocation runs in a child with BLAS on one thread,
+so counts and digits are deterministic; on two or more CPUs the grid100
+run then sums its dual gramians on the thread pool. Iterations and
+evaluations must match exactly, ``J_final`` to ``J_RTOL`` relative.
+
+A change that moves a recorded value on purpose rewrites the record with::
+
+    python tests/test_record.py --rewrite
+
+and lists each moved value, with its reason, in CHANGES.md. A ``J_final``
+that rises, or a count that grows, is a regression to report, not a
+record to rewrite.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+TESTS = Path(__file__).resolve().parent
+RECORD_PATH = TESTS / "data" / "record.json"
+J_RTOL = 1e-12
+# An argument that stands for perfbench's grid100 seed 1 network, written for the run.
+GRID100_SEED1 = "{grid100-seed1}"
+
+
+def record_run(argv: list[str]) -> dict:
+    """Run ``vsmtune`` with ``argv`` in this process and return what the record keeps."""
+    # Imported here, so that ``--rewrite`` runs without ``src`` on the path.
+    import vsmtune as vt
+    from conftest import netgen
+    from vsmtune import cli, optimizer
+
+    real = optimizer.eval_objective
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        grid = netgen.write_grid(vt, 1, Path(tmp) / "grid100.json")
+        argv = [str(grid) if arg == GRID100_SEED1 else arg for arg in argv]
+        optimizer.eval_objective = counting
+        try:
+            code = cli.main([*argv, "--out", str(Path(tmp) / "out")])
+        finally:
+            optimizer.eval_objective = real
+        assert code == 0, f"exit {code}"
+        with open(Path(tmp) / "out" / "summary.csv", newline="") as fh:
+            (summary,) = csv.DictReader(fh)
+    return {"iterations": int(summary["iterations"]), "evaluations": len(calls),
+            "J_final": float(summary["J_final"])}
+
+
+def run_in_child(argv: list[str]) -> dict:
+    """``record_run(argv)`` in a child with BLAS on one thread, whatever this process has."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])}
+    code = f"import json, test_record; print(json.dumps(test_record.record_run({argv!r})))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+RECORD = json.loads(RECORD_PATH.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(RECORD))
+def test_run_matches_the_record(name):
+    want = RECORD[name]
+    got = run_in_child(want["argv"])
+    assert (got["iterations"], got["evaluations"]) == (want["iterations"], want["evaluations"])
+    assert got["J_final"] == pytest.approx(want["J_final"], rel=J_RTOL, abs=0)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--rewrite"]:
+        sys.exit(f"usage: python {sys.argv[0]} --rewrite")
+    RECORD_PATH.write_text(json.dumps(
+        {name: {"argv": entry["argv"], **run_in_child(entry["argv"])}
+         for name, entry in RECORD.items()}, indent=1) + "\n")
