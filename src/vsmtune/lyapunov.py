@@ -25,7 +25,7 @@ Every step is a dense matrix product or one LU, so numpy alone runs it.
 Two facts of the swing models keep each step small:
 
 * The right-hand sides come factored. ``solve_lyapunov`` starts the sum
-  from ``(S F)(S F)^T`` and carries a factor ``G`` of width ``w`` as
+  from ``(S F)(S F)^T`` and carries a factor ``G`` of ``w`` columns as
   ``[G, T G]`` while ``w`` is at most the state count (``T G`` costs
   ``2 n^2 w`` flops against ``4 n^3`` for a dense step), then goes dense.
   The rank-1 known-location ``B`` stays factored for its first
@@ -51,23 +51,24 @@ may sum from one factor: a thread forms a power only while it holds the
 factor's lock, so each power is formed once, by the same product, and a
 thread that needs a power another is forming waits for it.
 A sum with a stop rule squares only once it has summed every stored
-power. A sum without one first squares until ``SQUARE_AHEAD`` powers lie
-past the furthest power any sum has asked for. Beside a primal sum in
-another thread (``eval_objective`` runs its dual sum so), it thus forms
-that sum's next powers while the sum works, and leaves the later ones to
-whichever sum needs them first, which splits the squarings between the
-threads. ``stop()`` makes every later ``power()`` call raise
-``FactorStopped``, so a sum in another thread ends at its next step. A
-sum may take ``reject``, a ``RejectAbove`` bound on the weighted diagonal
-of the partial sum, which it tests before each squaring. Every Smith term
-is positive semidefinite, so with nonnegative weights the partial value
-only rises: once it exceeds the bound, or is NaN, the solve returns
-None, and its remaining squarings, steps and certificate are skipped.
-An unstable ``A`` whose unstable modes the sum sees has partial sums
-that grow without bound, and a singular shift makes them NaN at once,
-so either is rejected without an eigenvalue call; any other unstable
-``A`` reaches the certificate, which raises. A sum that is not rejected
-runs the same products, in the same order, as one without ``reject``.
+power. A sum without one first asks for power ``SQUARE_AHEAD``, which
+forms powers 0 to ``SQUARE_AHEAD`` before its first step. Beside a
+primal sum in another thread (``eval_objective`` runs its dual sum so),
+it thus forms the first powers while the primal sum works through them,
+and leaves the later ones to whichever sum needs them first, which
+splits the squarings between the threads. ``stop()`` makes every later
+``power()`` call raise ``FactorStopped``, so a sum in another thread
+ends at its next step. A sum may take ``reject``, a ``RejectAbove``
+bound on the weighted diagonal of the partial sum, which it tests before
+each squaring. Every Smith term is positive semidefinite, so with
+nonnegative weights the partial value only rises: once it exceeds the
+bound, or is NaN, the solve returns None, and its remaining squarings,
+steps and certificate are skipped. An unstable ``A`` whose unstable
+modes the sum sees has partial sums that grow without bound, and a
+singular shift makes them NaN at once, so either is rejected without an
+eigenvalue call; any other unstable ``A`` reaches the certificate, which
+raises. A sum that is not rejected runs the same products, in the same
+order, as one without ``reject``.
 """
 
 from __future__ import annotations
@@ -89,10 +90,10 @@ STABILITY_MARGIN = -1e-9
 POWER_TOL = 1e-8
 MAX_SQUARINGS = 64
 
-# A sum without a stop rule first forms powers until this many lie past the
-# furthest one that any sum on the factor has asked for; see the module notes.
-# In grid100 optimize wall time, with the dual sum on a second thread, 2 beat
-# 1 by 3.6% and 3 by 2.6%, and 3 beat forming every power first by 4.3%.
+# A sum without a stop rule first forms powers 0 to SQUARE_AHEAD; see the module
+# notes. In grid100 optimize wall time, with the dual sum on a second thread, 1
+# and 3 were within noise of 2, and forming every power first was 5% slower on
+# all channels and 20% slower at a known location.
 SQUARE_AHEAD = 2
 
 # Gramians whose ||A X + X A^T + W||_F exceeds RESIDUAL_TOL * max(1, ||W||_F)
@@ -217,13 +218,12 @@ class CayleyFactor:
         self._failure: str | None = None  # the certificate's StabilityError message
         self._lock = threading.Lock()  # held by the one thread inside square()
         self._stopped = False
-        self._asked = 0  # 1 + the furthest power index a power() call asked for
 
     def power(self, j: int) -> np.ndarray | None:
         """``T^(2^j)``, or None once the certificate has passed and ``j`` is past the last power.
 
-        A missing power is formed here, through ``square()`` under the
-        factor's lock, so each power is formed once, whichever thread asks.
+        Missing powers up to ``j`` are formed here, through ``square()`` under
+        the factor's lock, so each power is formed once, whichever thread asks.
 
         Raises
         ------
@@ -232,20 +232,6 @@ class CayleyFactor:
         FactorStopped
             Once ``stop()`` has been called.
         """
-        # Only square_ahead reads _asked, so an update lost to a race between
-        # threads changes which thread squares, not any result.
-        if j >= self._asked:
-            self._asked = j + 1
-        return self._power(j)
-
-    def square_ahead(self) -> None:
-        """Form powers until ``SQUARE_AHEAD`` lie past the furthest one ``power()`` was asked for.
-
-        Raises as ``power()`` does.
-        """
-        self._power(self._asked + SQUARE_AHEAD - 1)
-
-    def _power(self, j: int) -> np.ndarray | None:
         # powers only grows, so a stored power is read without the lock.
         while True:
             if self._stopped:
@@ -318,15 +304,15 @@ def solve_lyapunov(
     The dual equation is the primal one for ``A^T``, whose factor is the
     transpose of every matrix in ``factor``. The sum starts from ``G G^T``
     with ``G = S F`` and applies ``X <- X + T X T^T`` for each power ``T``;
-    a factor of width ``w`` stays a factor, ``[G, T G]``, while ``w`` is at
+    a factor of ``w`` columns stays a factor, ``[G, T G]``, while ``w`` is at
     most the state count, and the remaining steps are dense. The result is
     explicitly symmetrized and positive semidefinite.
 
     A sum takes each power from ``factor.power()``, so it can raise
     ``StabilityError``, and ``FactorStopped`` once another thread has
-    stopped the factor. Without ``reject`` it first calls
-    ``factor.square_ahead()``. It returns None at the first partial sum,
-    the starting one included, that ``reject`` rejects.
+    stopped the factor. Without ``reject`` it first asks for power
+    ``SQUARE_AHEAD``. It returns None at the first partial sum, the
+    starting one included, that ``reject`` rejects.
 
     The residual ``||A X + X A^T + F F^T||_F`` stays within
     ``RESIDUAL_TOL * max(1, ||F F^T||_F)`` on the dense, well-damped
@@ -349,24 +335,20 @@ def solve_lyapunov(
         raise ValueError("F has no columns")
     if not np.all(np.isfinite(F)):
         raise ValueError("F contains non-finite entries")
-    width = F.shape[1]
-    rows = width
-    while rows <= dim:
-        rows *= 2
-    # Rows of Gt are the columns of G, so each doubling fills a contiguous row block.
-    Gt = np.empty((rows, dim))
-    Gt[:width] = (S @ F).T
+    # Rows of Gt are the columns of G. Gt is C-ordered: on a Fortran-ordered one
+    # the factored steps round differently, and the results' last digits move.
+    Gt = np.ascontiguousarray((S @ F).T)
     X = None
 
     def rejected() -> bool:
         if reject is None:
             return False
-        diag = np.einsum("ij,ij->j", Gt[:width], Gt[:width]) if X is None else np.diagonal(X)
+        diag = np.einsum("ij,ij->j", Gt, Gt) if X is None else np.diagonal(X)
         return reject.rejects(diag)
 
     with np.errstate(all="ignore"):
         if reject is None:
-            factor.square_ahead()
+            factor.power(SQUARE_AHEAD)
         elif rejected():
             return None
         j = 0
@@ -374,12 +356,11 @@ def solve_lyapunov(
             if dual:
                 T = T.T
             j += 1
-            if X is None and width <= dim:
-                np.matmul(Gt[:width], T.T, out=Gt[width:2 * width])
-                width *= 2
+            if X is None and len(Gt) <= dim:
+                Gt = np.concatenate([Gt, Gt @ T.T])
             else:
                 if X is None:
-                    X = Gt[:width].T @ Gt[:width]
+                    X = Gt.T @ Gt
                     TX = np.empty_like(X)
                     TXT = np.empty_like(X)
                 np.matmul(T, X, out=TX)
@@ -388,7 +369,7 @@ def solve_lyapunov(
             if rejected():
                 return None
     if X is None:
-        X = Gt[:width].T @ Gt[:width]
+        X = Gt.T @ Gt
     P = X + X.T
     P *= 0.5
     return P
