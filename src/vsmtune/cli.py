@@ -14,9 +14,9 @@ failures. ``VSMTUNE_LOG`` selects the log level. ``entrypoint`` (the
 console script) freezes the heap once ``main`` has returned, so that
 interpreter teardown leaves it to the OS.
 
-``compare`` runs in two stages: ``simulator.compare_designs`` simulates
-every design, and ``_write_trajectories`` then writes their trajectories,
-formatted block by block on the process's thread pool (``vsmtune.pool``).
+``simulate`` and ``compare`` run on the caller's thread: they simulate
+every design, and ``_write_trajectories`` then writes the trajectories
+one formatted block at a time.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ import gc
 import logging
 import os
 import sys
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from . import pool, simulator
+from . import simulator
 from .errors import (
     ConfigurationError,
     ParameterError,
@@ -58,14 +57,10 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_INVALID = 2
 
-# Trajectory rows formatted per call of ``_csv_rows``, one task on the pool.
-# Measured on compare --coeffs, twelve-bus, 2 CPUs, OpenBLAS on one thread:
-# small blocks serialize the threads on bytes.translate, which holds the
-# interpreter lock (82 ms at 1024 rows), and blocks above about 3000 rows
-# page-fault their temporaries afresh (29k minor faults at 4096 rows, 21k
-# at 3072): the whole command took a median 0.173-0.176 s at 3072 rows,
-# 0.174-0.178 s at 2048-2560 and 0.182-0.184 s at 4096.
-POOL_BLOCK = 3072
+# Trajectory rows formatted per call of ``_csv_rows``. Blocks above about
+# 3000 rows page-fault their temporaries afresh: compare --coeffs on
+# twelve-bus took 29k minor faults at 4096 rows and 21k at 3072.
+TRAJECTORY_BLOCK = 3072
 
 # _csv_rows makes digits exactly only when the long double is x87 extended
 # (64-bit significand) or IEEE quad: both round each operation once, to a
@@ -355,10 +350,10 @@ def _csv_rows(block: np.ndarray) -> bytes:
 
 
 def _row_blocks(result: SimResult):
-    """``t`` and every bus's ``omega`` as one row per sample, ``POOL_BLOCK`` rows at a time."""
+    """``t`` and every bus's ``omega``, one row per sample, ``TRAJECTORY_BLOCK`` rows at a time."""
     rows = np.column_stack([result.t, result.omega.T])
-    for start in range(0, len(rows), POOL_BLOCK):
-        yield rows[start:start + POOL_BLOCK]
+    for start in range(0, len(rows), TRAJECTORY_BLOCK):
+        yield rows[start:start + TRAJECTORY_BLOCK]
 
 
 def _write_trajectories(gen_ids, files: list[tuple[Path, SimResult]]) -> None:
@@ -368,25 +363,18 @@ def _write_trajectories(gen_ids, files: list[tuple[Path, SimResult]]) -> None:
     ``csv.writer`` header line, ``t`` and then ``omega_<bus>`` columns,
     ``%.17g`` for every float (``-0``, ``inf`` and ``nan`` included) and
     CRLF line ends. Every value is a float, so ``_csv_rows`` formats a
-    block of rows at a time with numpy integer arithmetic, falling back to
-    ``%`` for the few values it cannot make exactly.
-
-    Every file's ``POOL_BLOCK``-row blocks are formatted on the process's
-    pool (``pool.ordered``), and the files are then written in order, block
-    by block, as their text is ready; up to every file's text may be held
-    at once. No block outlives the call.
+    block of ``TRAJECTORY_BLOCK`` rows at a time with numpy integer
+    arithmetic, falling back to ``%`` for the few values it cannot make
+    exactly. Each block is written as it is formatted, so one block's text
+    is held at a time.
     """
     header = ",".join(["t"] + [f"omega_{gid}" for gid in gen_ids]).encode() + b"\r\n"
-    texts = pool.ordered(_csv_rows, (block for _, result in files for block in _row_blocks(result)))
-    try:
-        for path, result in files:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "wb") as fh:
-                fh.write(header)
-                fh.writelines(islice(texts, -(-len(result.t) // POOL_BLOCK)))
-            log.info("wrote %s", path)
-    finally:
-        texts.close()
+    for path, result in files:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.writelines(map(_csv_rows, _row_blocks(result)))
+        log.info("wrote %s", path)
 
 
 def _write_coefficients(path: Path, ctx: _Context, m: np.ndarray, d: np.ndarray) -> None:

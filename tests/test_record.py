@@ -1,12 +1,15 @@
 """Tier-1 record of what CLI runs compute and how much work they take.
 
 ``tests/data/record.json`` names each recorded invocation and keeps its
-arguments and results: the optimizer's iterations, its
-``optimizer.eval_objective`` calls (evaluations) and ``J_final`` from
-``summary.csv``. Each invocation runs in a child with BLAS on one thread,
-so counts and digits are deterministic; on two or more CPUs the grid100
-run then sums its dual gramians on the thread pool. Iterations and
-evaluations must match exactly, ``J_final`` to ``J_RTOL`` relative.
+arguments and results. Every run records its ``optimizer.eval_objective``
+calls (evaluations). A run that writes ``summary.csv`` also records the
+optimizer's iterations and ``J_final``; any other run records its sorted
+output files, the line count of each ``trajectory*.csv`` and the numeric
+fields of ``metrics.csv``. Each invocation runs in a child with BLAS on one
+thread, so counts and digits are deterministic; on two or more CPUs the
+grid100 run then sums its dual gramians on the worker thread. Counts, files
+and line counts must match exactly, ``J_final`` to ``J_RTOL`` relative and
+the metrics to ``METRICS_RTOL``.
 
 A change that moves a recorded value on purpose rewrites the record with::
 
@@ -32,6 +35,7 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 RECORD_PATH = TESTS / "data" / "record.json"
 J_RTOL = 1e-12
+METRICS_RTOL = 1e-9
 # An argument that stands for perfbench's grid100 seed 1 network, written for the run.
 GRID100_SEED1 = "{grid100-seed1}"
 
@@ -40,7 +44,6 @@ def record_run(argv: list[str]) -> dict:
     """Run ``vsmtune`` with ``argv`` in this process and return what the record keeps."""
     # Imported here, so that ``--rewrite`` runs without ``src`` on the path.
     import vsmtune as vt
-    from conftest import netgen
     from vsmtune import cli, optimizer
 
     real = optimizer.eval_objective
@@ -51,18 +54,30 @@ def record_run(argv: list[str]) -> dict:
         return real(*args, **kwargs)
 
     with tempfile.TemporaryDirectory() as tmp:
-        grid = netgen.write_grid(vt, 1, Path(tmp) / "grid100.json")
-        argv = [str(grid) if arg == GRID100_SEED1 else arg for arg in argv]
+        if GRID100_SEED1 in argv:
+            from conftest import netgen  # conftest imports scipy, which the other runs skip
+
+            grid = netgen.write_grid(vt, 1, Path(tmp) / "grid100.json")
+            argv = [str(grid) if arg == GRID100_SEED1 else arg for arg in argv]
         optimizer.eval_objective = counting
         try:
             code = cli.main([*argv, "--out", str(Path(tmp) / "out")])
         finally:
             optimizer.eval_objective = real
         assert code == 0, f"exit {code}"
-        with open(Path(tmp) / "out" / "summary.csv", newline="") as fh:
-            (summary,) = csv.DictReader(fh)
-    return {"iterations": int(summary["iterations"]), "evaluations": len(calls),
-            "J_final": float(summary["J_final"])}
+        out = Path(tmp) / "out"
+        files = sorted(f.name for f in out.iterdir())
+        if "summary.csv" in files:
+            with open(out / "summary.csv", newline="") as fh:
+                (summary,) = csv.DictReader(fh)
+            return {"iterations": int(summary["iterations"]), "evaluations": len(calls),
+                    "J_final": float(summary["J_final"])}
+        lines = {name: (out / name).read_bytes().count(b"\n") for name in files
+                 if name.startswith("trajectory")}
+        with open(out / "metrics.csv", newline="") as fh:
+            metrics = [[float(v) for k, v in row.items() if k != "variant"]
+                       for row in csv.DictReader(fh)]
+    return {"evaluations": len(calls), "files": files, "lines": lines, "metrics": metrics}
 
 
 def run_in_child(argv: list[str]) -> dict:
@@ -84,8 +99,14 @@ RECORD = json.loads(RECORD_PATH.read_text())
 def test_run_matches_the_record(name):
     want = RECORD[name]
     got = run_in_child(want["argv"])
-    assert (got["iterations"], got["evaluations"]) == (want["iterations"], want["evaluations"])
-    assert got["J_final"] == pytest.approx(want["J_final"], rel=J_RTOL, abs=0)
+    assert set(got) == set(want) - {"argv"}
+    exact = [key for key in got if key not in ("J_final", "metrics")]
+    assert [got[key] for key in exact] == [want[key] for key in exact]
+    if "J_final" in want:
+        assert got["J_final"] == pytest.approx(want["J_final"], rel=J_RTOL, abs=0)
+    else:
+        assert got["metrics"] == [pytest.approx(row, rel=METRICS_RTOL, abs=0)
+                                  for row in want["metrics"]]
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from scipy.linalg import expm
 
 import vsmtune as vt
 import vsmtune.lyapunov as lyapunov
-import vsmtune.pool as pool_module
 import vsmtune.simulator as simulator_module
 from vsmtune import Disturbance, compare_designs, simulate
 
@@ -372,10 +371,7 @@ class TestCompareDesigns:
         labels = [label for label, _ in out]
         assert labels == sorted(labels)
 
-    @pytest.mark.parametrize("threaded", [False, True], ids=["caller", "pool"])
-    def test_returns_a_list_on_both_paths(self, threaded, monkeypatch, twelve_net,
-                                          twelve_params):
-        monkeypatch.setattr(pool_module, "second_cpu_free", lambda: threaded)
+    def test_returns_a_list(self, twelve_net, twelve_params):
         dist = Disturbance("step", twelve_net.index_of(6), 0.1)
         out = compare_designs(twelve_net, self.variants(twelve_params), dist, horizon=1.0)
         assert isinstance(out, list)
@@ -387,10 +383,7 @@ class TestCompareDesigns:
             twelve_params.m_ub, twelve_params.d_ub), 0)
         assert np.array_equal(out[0][1].omega, simulate(ss, dist, horizon=1.0).omega)
 
-    @pytest.mark.parametrize("threaded", [False, True], ids=["caller", "pool"])
-    def test_failed_simulation_raises_from_the_call(self, threaded, monkeypatch, twelve_net,
-                                                    twelve_params):
-        monkeypatch.setattr(pool_module, "second_cpu_free", lambda: threaded)
+    def test_failed_simulation_raises_from_the_call(self, monkeypatch, twelve_net, twelve_params):
         variants = self.variants(twelve_params)
         # The second design in label order.
         failing = vt.assemble_state_space(twelve_net, variants[0][1], 0).A
