@@ -57,10 +57,11 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_INVALID = 2
 
-# Trajectory rows formatted per call of ``_csv_rows``. Blocks above about
-# 3000 rows page-fault their temporaries afresh: compare --coeffs on
-# twelve-bus took 29k minor faults at 4096 rows and 21k at 3072.
-TRAJECTORY_BLOCK = 3072
+# Trajectory values formatted per call of ``_csv_rows``, as whole rows: a
+# block has max(1, TRAJECTORY_BLOCK // columns) rows, 1024 on twelve-bus and
+# 101 on grid100. Larger blocks page-fault their temporaries afresh: twelve-bus
+# compare --coeffs took 33k minor faults at 3072 rows and 2.8k at 1024.
+TRAJECTORY_BLOCK = 10240
 
 # _csv_rows makes digits exactly only when the long double is x87 extended
 # (64-bit significand) or IEEE quad: both round each operation once, to a
@@ -350,10 +351,11 @@ def _csv_rows(block: np.ndarray) -> bytes:
 
 
 def _row_blocks(result: SimResult):
-    """``t`` and every bus's ``omega``, one row per sample, ``TRAJECTORY_BLOCK`` rows at a time."""
+    """Rows of ``t`` and each bus's ``omega``, in blocks of about ``TRAJECTORY_BLOCK`` values."""
     rows = np.column_stack([result.t, result.omega.T])
-    for start in range(0, len(rows), TRAJECTORY_BLOCK):
-        yield rows[start:start + TRAJECTORY_BLOCK]
+    step = max(1, TRAJECTORY_BLOCK // rows.shape[1])
+    for start in range(0, len(rows), step):
+        yield rows[start:start + step]
 
 
 def _write_trajectories(gen_ids, files: list[tuple[Path, SimResult]]) -> None:
@@ -363,7 +365,7 @@ def _write_trajectories(gen_ids, files: list[tuple[Path, SimResult]]) -> None:
     ``csv.writer`` header line, ``t`` and then ``omega_<bus>`` columns,
     ``%.17g`` for every float (``-0``, ``inf`` and ``nan`` included) and
     CRLF line ends. Every value is a float, so ``_csv_rows`` formats a
-    block of ``TRAJECTORY_BLOCK`` rows at a time with numpy integer
+    block of about ``TRAJECTORY_BLOCK`` values at a time with numpy integer
     arithmetic, falling back to ``%`` for the few values it cannot make
     exactly. Each block is written as it is formatted, so one block's text
     is held at a time.

@@ -45,18 +45,12 @@ compute the eigenvalues.
 
 A ``CayleyFactor`` holds no power until a sum asks for one: it keeps the
 powers of ``T`` in one list, ``powers``, and ``square()`` appends the next
-one or, when none is needed, ends in the stability certificate. Sums ask
-through ``power(j)``, which forms a missing power. Any number of threads
-may sum from one factor: a thread forms a power only while it holds the
-factor's lock, so each power is formed once, by the same product, and a
-thread that needs a power another is forming waits for it.
-A sum with a stop rule squares only once it has summed every stored
-power. A sum without one first asks for power ``SQUARE_AHEAD``, which
-forms powers 0 to ``SQUARE_AHEAD`` before its first step. Beside a
-primal sum in another thread (``eval_objective`` runs its dual sum so),
-it thus forms the first powers while the primal sum works through them,
-and leaves the later ones to whichever sum needs them first, which
-splits the squarings between the threads. ``stop()`` makes every later
+one or, when none is needed, ends in the stability certificate. A sum
+asks for each power through ``power(j)`` when it reaches it, and a
+missing power is formed there. Any number of threads may sum from one
+factor: a thread forms a power only while it holds the factor's lock, so
+each power is formed once, by the same product, and a thread that needs
+a power another is forming waits for it. ``stop()`` makes every later
 ``power()`` call raise ``FactorStopped``, so a sum in another thread
 ends at its next step. A sum may take ``reject``, a ``RejectAbove``
 bound on the weighted diagonal of the partial sum, which it tests before
@@ -89,12 +83,6 @@ STABILITY_MARGIN = -1e-9
 # relative truncation error below POWER_TOL**2, or after MAX_SQUARINGS.
 POWER_TOL = 1e-8
 MAX_SQUARINGS = 64
-
-# A sum without a stop rule first forms powers 0 to SQUARE_AHEAD; see the module
-# notes. In grid100 optimize wall time, with the dual sum on a second thread, 1
-# and 3 were within noise of 2, and forming every power first was 5% slower on
-# all channels and 20% slower at a known location.
-SQUARE_AHEAD = 2
 
 # Gramians whose ||A X + X A^T + W||_F exceeds RESIDUAL_TOL * max(1, ||W||_F)
 # draw a RuntimeWarning from check_residual.
@@ -310,8 +298,7 @@ def solve_lyapunov(
 
     A sum takes each power from ``factor.power()``, so it can raise
     ``StabilityError``, and ``FactorStopped`` once another thread has
-    stopped the factor. Without ``reject`` it first asks for power
-    ``SQUARE_AHEAD``. It returns None at the first partial sum, the
+    stopped the factor. It returns None at the first partial sum, the
     starting one included, that ``reject`` rejects.
 
     The residual ``||A X + X A^T + F F^T||_F`` stays within
@@ -347,9 +334,7 @@ def solve_lyapunov(
         return reject.rejects(diag)
 
     with np.errstate(all="ignore"):
-        if reject is None:
-            factor.power(SQUARE_AHEAD)
-        elif rejected():
+        if rejected():
             return None
         j = 0
         while (T := factor.power(j)) is not None:

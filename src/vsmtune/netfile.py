@@ -5,7 +5,7 @@ Networks are described by a JSON document with three top-level keys:
 ``buses``
     list of ``{"id": int, "kind": "generator"|"load", "m_hat": float,
     "d_hat": float}``; generator entries may carry per-bus bound
-    overrides ``m_lb``/``m_ub``/``d_lb``/``d_ub``.
+    overrides ``m_lb``/``m_ub``/``d_lb``/``d_ub``, and load entries may not.
 ``lines``
     list of ``{"from": id, "to": id, "b": susceptance > 0}``.
 ``defaults``
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .netmodel import Bus, DeviceParams, Line, NetworkSpec
+from .netmodel import LOAD, Bus, DeviceParams, Line, NetworkSpec
 
 DEFAULT_BOUNDS = {"m_lb": 0.0, "m_ub": 1.0, "d_lb": 0.0, "d_ub": 1.0}
 
@@ -106,6 +106,9 @@ def parse_network(doc: dict) -> NetworkDocument:
         )
         overrides = _bounds(raw, context)
         if overrides:
+            if kind == LOAD:
+                raise ValidationError(f"load bus {bus_id} carries bounds {sorted(overrides)}; "
+                                      "static loads have no coefficients to bound")
             bus_bounds[bus_id] = overrides
 
     lines = []

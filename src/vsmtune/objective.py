@@ -27,49 +27,81 @@ so that LAPACK sees only the (n-1)-square angle block), and
 ``C = [0, M^(1/2)]`` makes ``C^T C`` diagonal, so ``J_h2 = w @ diag(P)``
 with ``w = diag(C^T C)``. ``Q`` is summed from the same factor and
 ``C^T``, and the gradient formed, in the same call, so the factor is
-freed when it returns. Where the dual sum runs depends on the model and
-the process: with at least ``OVERLAP_MIN_STATES`` states and a second CPU
-that BLAS leaves free (``pool.second_cpu_free``), a task on the process's
-one worker thread (``pool.executor``) starts it beside the primal sum, so
-that it forms the first Cayley powers ahead of that sum and then sums
-``Q`` while ``P`` is still being summed; otherwise the caller sums ``Q``
-once ``P`` is accepted. Both give the same bytes.
+freed when it returns.
 A caller that passes ``reject_above`` pays less when J is above it: it is
 the primal sum's stop rule, and the partial value
 ``J_reg + w @ diag(X_k)``, which only rises towards J, ends the
 evaluation (None) as soon as it exceeds the bound. A rejected or failed
-evaluation then skips the dual solve, or stops the pool task at its next
-step and waits for it, so no task outlives the call.
+evaluation then skips the dual solve.
+
+The dual sum may run on the process's one worker thread, beside the
+primal sum (``_overlap``). numpy releases the interpreter lock inside
+BLAS, so the two sums run at once: two threads on 199-square GEMMs gave
+1.7-2.3 times one thread's throughput on 2 CPUs. A rejected or failed
+evaluation stops the worker's sum at its next step and waits for it, so
+no task outlives the call, and both ways give the same bytes.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pool
 from .errors import ConfigurationError
 from .lyapunov import CayleyFactor, RejectAbove, check_residual, solve_lyapunov
 from .netmodel import DeviceParams, ReducedNetwork, StateSpace, assemble_state_space
 
 
 # Smallest state count at which eval_objective sums the dual gramian on the
-# pool. Below it the hand-off costs more than the overlap saves:
+# worker. Below it the hand-off costs more than the overlap saves:
 # optimize (max_iter 30) on seeded grids, OpenBLAS on one thread, 2 CPUs,
-# ran 8% slower with the pool at 79-87 states, 1-3% faster at 91-95 (in
+# ran 8% slower with the worker at 79-87 states, 1-3% faster at 91-95 (in
 # 11 of 15 runs), 4-10% faster at 99-111 and 30% faster at 199. With
-# OpenBLAS on two threads the pool made grid100 optimize 59% slower.
+# OpenBLAS on two threads the worker made grid100 optimize 59% slower.
 OVERLAP_MIN_STATES = 100
+
+# The variables that set the BLAS thread count, in the order OpenBLAS and MKL
+# read them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS")
+
+_worker = None  # (pid, executor), started on first use
 
 
 def _overlap(states: int) -> bool:
-    """Whether an evaluation with ``states`` states sums its dual gramian on the pool.
+    """Whether an evaluation with ``states`` states sums its dual gramian on the worker.
 
     It needs ``OVERLAP_MIN_STATES`` states and a second CPU that BLAS
-    leaves free (``pool.second_cpu_free``).
+    leaves free: two or more CPUs in the process's affinity mask, and BLAS
+    pinned to one thread by the first of its thread variables that is set.
+    A multithreaded BLAS already uses the second CPU, and on one CPU the
+    threads only interleave.
     """
-    return states >= OVERLAP_MIN_STATES and pool.second_cpu_free()
+    if states < OVERLAP_MIN_STATES:
+        return False
+    blas_threads = next((os.environ[v] for v in _BLAS_THREAD_VARS if os.environ.get(v)), "")
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return blas_threads.strip() == "1" and cpus > 1
+
+
+def _executor():
+    """The process's one single-worker executor, a fresh one in a forked child.
+
+    A forked child's copy of the parent's executor has no thread, so work
+    submitted to it would never run. ``concurrent.futures`` is imported
+    here, so a process that never overlaps does not pay for the import.
+    """
+    global _worker
+    if _worker is None or _worker[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        _worker = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="vsmtune"))
+    return _worker[1]
 
 
 @dataclass(frozen=True)
@@ -157,7 +189,7 @@ def eval_objective(
     NaN. The primal sum then stops at the first Smith step whose partial
     value ``J_reg + w @ diag(X_k)`` exceeds it, which is sound because
     that value only rises towards ``J_total``; the caller forms no further
-    power, and the dual sum is skipped or, on the pool, stopped.
+    power, and the dual sum is skipped or, on the worker, stopped.
 
     Raises ``StabilityError`` when the realization is not Hurwitz and the
     evaluation is not rejected first.
@@ -170,7 +202,7 @@ def eval_objective(
     reject = None if reject_above is None else RejectAbove(w, J_reg, reject_above)
     overlap = _overlap(len(ss.A))
     factor = CayleyFactor(ss.A)
-    dual = pool.executor().submit(solve_lyapunov, factor, ss.C.T, True) if overlap else None
+    dual = _executor().submit(solve_lyapunov, factor, ss.C.T, True) if overlap else None
     Q = None
     try:
         P = solve_lyapunov(factor, ss.B, reject=reject)
@@ -183,7 +215,7 @@ def eval_objective(
         Q = solve_lyapunov(factor, ss.C.T, dual=True) if dual is None else dual.result()
     finally:
         if Q is None and dual is not None:
-            # Rejected or failed: the pool task stops at its next step, and its outcome is dropped.
+            # Rejected or failed: the worker's sum stops at its next step; its outcome is dropped.
             factor.stop()
             dual.exception()
     grad_m, grad_d = grad_h2(ss, params, P=P, Q=Q)

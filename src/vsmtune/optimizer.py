@@ -15,10 +15,7 @@ side ``B``, which give J. The trial passes its Armijo threshold to
 sum, so a trial whose partial Smith sum exceeds it stops before its
 remaining squarings and certificate, rejected like a non-Hurwitz one.
 Only an accepted trial needs the dual gramian, from the same factor and
-``C^T``, and its gradient serves the next iteration. On a model large
-enough for ``eval_objective`` to sum the dual on the thread pool, every
-trial starts that sum beside the primal one and a rejected trial stops
-it; otherwise only an accepted trial solves it. At the final point
+``C^T``, and its gradient serves the next iteration. At the final point
 both gramians' Lyapunov residuals are checked, and a ``RuntimeWarning``
 reports one that misses its bound.
 Convergence is judged on the unit-step projected-gradient (KKT) residual

@@ -495,8 +495,9 @@ class TestTrajectoryWriter:
 
     @pytest.mark.parametrize("n_rows", [
         pytest.param(n_rows, id=f"rows-{n_rows}")
-        for n_rows in (1, cli.TRAJECTORY_BLOCK - 1, cli.TRAJECTORY_BLOCK,
-                       cli.TRAJECTORY_BLOCK + 1, 2 * cli.TRAJECTORY_BLOCK + 1)
+        # The rows of one block, at the test's three columns.
+        for block in [cli.TRAJECTORY_BLOCK // 3]
+        for n_rows in (1, block - 1, block, block + 1, 2 * block + 1)
     ])
     def test_block_boundaries_match_per_value_writer(self, n_rows, tmp_path):
         rng = np.random.default_rng(n_rows)
@@ -738,10 +739,10 @@ class TestCompare:
         # With BLAS pinned and two CPUs a worker could run beside the caller;
         # compare and simulate still run on the caller's thread alone.
         script = (
-            "import sys, vsmtune.cli as cli, vsmtune.pool as pool\n"
-            "assert pool.second_cpu_free()\n"
-            "print([(cli.main([cmd, '--disturb-node', '1', '--out', sys.argv[1]]), pool._pool)\n"
-            "       for cmd in ('compare', 'simulate')])\n"
+            "import sys, vsmtune.cli as cli, vsmtune.objective as objective\n"
+            "assert objective._overlap(objective.OVERLAP_MIN_STATES)\n"
+            "print([(cli.main([cmd, '--disturb-node', '1', '--out', sys.argv[1]]),\n"
+            "        objective._worker) for cmd in ('compare', 'simulate')])\n"
         )
         src = str(Path(vt.__file__).resolve().parents[1])
         out = subprocess.run(

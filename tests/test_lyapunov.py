@@ -514,22 +514,6 @@ class TestLazySquaring:
         assert np.array_equal(solve_lyapunov(lazy, ss.C.T, dual=True),
                               solve_lyapunov(eager, ss.C.T, dual=True))
 
-    def test_sum_without_stop_rule_squares_ahead(self):
-        A, B, _ = random_stable_system(np.random.default_rng(13), 20)
-        factor = CayleyFactor(A)
-        power = factor.power
-        stored_at_first_step = []
-
-        def watching(j):
-            if j == 0 and not stored_at_first_step:
-                stored_at_first_step.append(len(factor.powers))
-            return power(j)
-
-        factor.power = watching
-        solve_lyapunov(factor, B)
-        assert len(factor.powers) > lyapunov.SQUARE_AHEAD + 1
-        assert stored_at_first_step == [lyapunov.SQUARE_AHEAD + 1]
-
     @pytest.mark.parametrize("kind", ["unstable", "unresolved"])
     def test_dual_of_lazy_factor_raises_like_the_eager_one(self, kind):
         if kind == "unstable":
@@ -557,7 +541,7 @@ def each_power_formed_once():
 
     Sums are bitwise equal to the serial ones only with BLAS on one thread,
     the only configuration in which the package shares a factor between
-    threads (``pool.second_cpu_free``); a multithreaded OpenBLAS sometimes
+    threads (``objective._overlap``); a multithreaded OpenBLAS sometimes
     rounds them differently.
     """
     net, params = grid_problem(4, 60)

@@ -191,6 +191,10 @@ class TestMalformedValues:
                      r"defaults: 'm_lb' must be a finite number, got nan", id="defaults-m_lb-nan"),
         pytest.param(lambda d: d["defaults"].update(m_ub=float("inf")),
                      r"defaults: 'm_ub' must be a finite number, got inf", id="defaults-m_ub-inf"),
+        pytest.param(lambda d: d["buses"].append({"id": 3, "kind": "load", "m_ub": 5.0}),
+                     r"load bus 3 carries bounds \['m_ub'\]", id="load-bus-m_ub"),
+        pytest.param(lambda d: d["buses"].append({"id": 3, "kind": "load", "d_lb": 0.0, "d_ub": 1.0}),
+                     r"load bus 3 carries bounds \['d_lb', 'd_ub'\]", id="load-bus-d-bounds"),
     ])
     def test_names_entry_and_key(self, edit, message):
         doc = _two_bus_doc()

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import vsmtune as vt
 import vsmtune.objective as objective_module
-import vsmtune.pool as pool_module
 from vsmtune import ObjectiveConfig, StateSpace, lyapunov
 
 from conftest import (
@@ -437,6 +436,15 @@ def objective_value(params, net):
     return vt.eval_objective(params, ObjectiveConfig(), net, 0).J_total
 
 
+def child_executor():
+    """In a forked child: whether it started its own executor, and that executor's answer to a task."""
+    inherited = objective_module._worker
+    executor = objective_module._executor()
+    return (inherited is not None and executor is not inherited[1],
+            objective_module._executor() is executor,
+            executor.submit(os.getpid).result(timeout=10) == os.getpid())
+
+
 def unstable(net):
     """``net`` with every susceptance negated, so that its realizations are not Hurwitz."""
     return vt.ReducedNetwork(gen_ids=net.gen_ids, L=-net.L)
@@ -596,10 +604,26 @@ class TestDualWorker:
             J = pool.apply_async(objective_value, (params, net)).get(timeout=30)
         assert J == ev.J_total
 
+    def test_one_executor_per_process(self):
+        executor = objective_module._executor()
+        assert objective_module._executor() is executor
+        assert executor._max_workers == 1
+        assert executor.submit(sum, [1, 2]).result(timeout=10) == 3
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_forked_child_starts_its_own_executor(self):
+        # The parent's worker thread does not survive a fork; a child that
+        # reused its executor would wait for its first task for ever.
+        executor = objective_module._executor()
+        executor.submit(int).result(timeout=10)
+        with multiprocessing.get_context("fork").Pool(1) as workers:
+            assert workers.apply_async(child_executor).get(timeout=30) == (True, True, True)
+        assert objective_module._executor() is executor
+
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
     def test_overlap_needs_the_size_and_a_cpu_that_blas_leaves_free(self, monkeypatch):
         least = objective_module.OVERLAP_MIN_STATES
-        for var in pool_module._BLAS_THREAD_VARS:
+        for var in objective_module._BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         cases = [
             ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, least, True),

@@ -3,13 +3,14 @@
 ``tests/data/record.json`` names each recorded invocation and keeps its
 arguments and results. Every run records its ``optimizer.eval_objective``
 calls (evaluations). A run that writes ``summary.csv`` also records the
-optimizer's iterations and ``J_final``; any other run records its sorted
-output files, the line count of each ``trajectory*.csv`` and the numeric
-fields of ``metrics.csv``. Each invocation runs in a child with BLAS on one
-thread, so counts and digits are deterministic; on two or more CPUs the
-grid100 run then sums its dual gramians on the worker thread. Counts, files
-and line counts must match exactly, ``J_final`` to ``J_RTOL`` relative and
-the metrics to ``METRICS_RTOL``.
+optimizer's iterations and ``J_final``, and a ``sweep-beta`` run the lists
+of both, one entry per ``summary_b<k>.csv``; any other run records its
+sorted output files, the line count of each ``trajectory*.csv`` and the
+numeric fields of ``metrics.csv``. Each invocation runs in a child with
+BLAS on one thread, so counts and digits are deterministic; on two or more
+CPUs the grid100 run then sums its dual gramians on the worker thread.
+Counts, files and line counts must match exactly, ``J_final`` to
+``J_RTOL`` relative and the metrics to ``METRICS_RTOL``.
 
 A change that moves a recorded value on purpose rewrites the record with::
 
@@ -38,6 +39,9 @@ J_RTOL = 1e-12
 METRICS_RTOL = 1e-9
 # An argument that stands for perfbench's grid100 seed 1 network, written for the run.
 GRID100_SEED1 = "{grid100-seed1}"
+# An argument that stands for the coefficients file of twelve-bus ``optimize
+# --disturb-node 1``, written for the run; its evaluations are not counted.
+TWELVE_DESIGN = "{twelve-bus-design}"
 
 
 def record_run(argv: list[str]) -> dict:
@@ -59,6 +63,11 @@ def record_run(argv: list[str]) -> dict:
 
             grid = netgen.write_grid(vt, 1, Path(tmp) / "grid100.json")
             argv = [str(grid) if arg == GRID100_SEED1 else arg for arg in argv]
+        if TWELVE_DESIGN in argv:
+            design = Path(tmp) / "design"
+            assert cli.main(["optimize", "--disturb-node", "1", "--out", str(design)]) == 0
+            argv = [str(design / "coefficients.csv") if arg == TWELVE_DESIGN else arg
+                    for arg in argv]
         optimizer.eval_objective = counting
         try:
             code = cli.main([*argv, "--out", str(Path(tmp) / "out")])
@@ -67,11 +76,21 @@ def record_run(argv: list[str]) -> dict:
         assert code == 0, f"exit {code}"
         out = Path(tmp) / "out"
         files = sorted(f.name for f in out.iterdir())
+
+        def summary(name: str) -> tuple[int, float]:
+            with open(out / name, newline="") as fh:
+                (row,) = csv.DictReader(fh)
+            return int(row["iterations"]), float(row["J_final"])
+
         if "summary.csv" in files:
-            with open(out / "summary.csv", newline="") as fh:
-                (summary,) = csv.DictReader(fh)
-            return {"iterations": int(summary["iterations"]), "evaluations": len(calls),
-                    "J_final": float(summary["J_final"])}
+            iterations, J_final = summary("summary.csv")
+            return {"iterations": iterations, "evaluations": len(calls), "J_final": J_final}
+        if "sweep.csv" in files:
+            # Exit 0 means that no beta failed, so every summary_b<k>.csv is there.
+            count = sum(name.startswith("summary_b") for name in files)
+            runs = [summary(f"summary_b{k}.csv") for k in range(count)]
+            return {"iterations": [it for it, _ in runs], "evaluations": len(calls),
+                    "J_final": [J for _, J in runs]}
         lines = {name: (out / name).read_bytes().count(b"\n") for name in files
                  if name.startswith("trajectory")}
         with open(out / "metrics.csv", newline="") as fh:
